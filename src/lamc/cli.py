@@ -418,6 +418,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LamcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: a term is nested too deeply for the recursion limit",
+              file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

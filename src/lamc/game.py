@@ -2,13 +2,17 @@
 
 The abstract game moves numbers only. The single-thread game runs one machine
 process and watches every configuration for move shapes against the recorded
-history. The multi-thread game keeps every position's full trace alive and
-re-examines old configurations whenever the history grows, which is what lets
-a realizer win there by having already visited the right configuration.
+history. The multi-thread game keeps every position's full trace alive, so a
+configuration visited long ago may still fire when the history grows, which is
+what lets a realizer win there by having already visited the right
+configuration. Its referee matches incrementally: each configuration is
+matched against the history once, when it is reached, and each history entry
+against the traces once, when it is recorded.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -86,19 +90,30 @@ class History:
     def open_match(self, p: Process) -> Optional[tuple[int, int, Term]]:
         """(entry index, move, handler) when p is u * m.t.pi for a recorded
         incomplete entry (u, pi); earliest entry on ties."""
-        s = p.stack
-        if not (isinstance(s, Push) and isinstance(s.rest, Push)):
+        shape = play_shape(p)
+        if shape is None:
             return None
-        m = decode_numeral(s.top)
-        if m is None:
-            return None
-        idx = self._open_by_shape.get((p.term, s.rest.rest))
+        key, m, t = shape
+        idx = self._open_by_shape.get(key)
         if idx is None:
             return None
-        return idx, m, s.rest.top
+        return idx, m, t
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def play_shape(p: Process) -> Optional[tuple[tuple[Term, Stack], int, Term]]:
+    """((u, pi), m, t) when p is u * m.t.pi with m a literal numeral: the
+    shape of a play on an incomplete entry (u, pi), whether or not one is
+    recorded."""
+    s = p.stack
+    if not (isinstance(s, Push) and isinstance(s.rest, Push)):
+        return None
+    m = decode_numeral(s.top)
+    if m is None:
+        return None
+    return (p.term, s.rest.rest), m, s.rest.top
 
 
 @dataclass(frozen=True)
@@ -385,7 +400,8 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
                     return outcome("EloiseWin", None,
                                    f"complete entry {idx} reached with payoff 0",
                                    witness=idx)
-            event = detect_move_play_only(p, history)
+            hit = history.open_match(p)
+            event = None if hit is None else PlayShape(*hit)
         if isinstance(event, PlayShape):
             entry = history.entries[event.entry_index]
             ctx = MoveContext(phi, entry, event.entry_index, event.m, event.t,
@@ -422,14 +438,6 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
         p = nxt
         phase_steps += 1
         total_steps += 1
-
-
-def detect_move_play_only(p: Process, history: History) -> Optional[PlayShape]:
-    hit = history.open_match(p)
-    if hit is None:
-        return None
-    idx, m, t = hit
-    return PlayShape(idx, m, t)
 
 
 ### the multi-thread game
@@ -469,17 +477,30 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
             handle: tuple[Term, Stack], abelard: AbelardStrategy,
             leading: Sequence[int] = (), quantum: int = 256,
             total_budget: int = 100_000) -> MatchOutcome:
-    """Every position ever reached stays alive: all traces are kept whole and
-    re-examined against every new history entry, and each configuration may
-    fire one play in its lifetime."""
+    """Every position ever reached stays alive: all traces are kept whole, any
+    configuration may win on an entry recorded after it was reached, and each
+    configuration may fire one play in its lifetime.
+
+    Matching is incremental. A configuration is matched against the history
+    once, when its thread reaches it; a play shape whose incomplete entry is
+    not recorded yet waits under that entry's handle. A new complete entry is
+    looked up in every thread's configurations, and a new incomplete entry
+    releases the plays waiting on its handle, unless an earlier entry has the
+    same handle: the earliest one keeps every play on it. Wins and plays found
+    wait in heaps ordered by (thread, config, entry) and are taken in the
+    order a scan of every trace would find them, wins first; a payoff is
+    evaluated only when its candidate comes first, once per entry."""
     _check_match_inputs(registry, realizer, phi, handle, leading)
     machine = Machine(registry)
     history = History(phi.rounds)
     history.append(HistoryEntry((), (), handle[0], handle[1]))
     zs = tuple(leading)
 
-    threads = [_Thread(0, _initial_process(realizer, handle, leading))]
-    fired: set[tuple[int, int]] = set()
+    threads: list[_Thread] = []
+    wins: list[tuple[int, int, int]] = []               # thread, config, entry
+    plays: list[tuple[int, int, int, int, Term]] = []   # ... , m, handler
+    waiting: dict[tuple[Term, Stack], list[tuple[int, int, int, Term]]] = {}
+    payoffs: dict[int, int] = {}
     moves: list[MoveRecord] = []
     total_steps = 0
     move_number = 0
@@ -490,54 +511,67 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
                             witness_entry=witness, witness_ref=ref,
                             total_steps=total_steps)
 
-    def find_win() -> Optional[tuple[int, int, int]]:
-        for t in threads:
-            for i, p in enumerate(t.trace):
-                for idx in history.final_matches(p):
-                    e = history.entries[idx]
-                    if phi.f_value(zs, e.ms, e.ns) == 0:
-                        return t.idx, i, idx
-        return None
+    def watch(t: _Thread, i: int) -> None:
+        p = t.trace[i]
+        for idx in history.final_matches(p):
+            heapq.heappush(wins, (t.idx, i, idx))
+        shape = play_shape(p)
+        if shape is None:
+            return
+        hit = history.open_match(p)
+        if hit is not None:
+            heapq.heappush(plays, (t.idx, i, *hit))
+        else:
+            key, m, handler = shape
+            waiting.setdefault(key, []).append((t.idx, i, m, handler))
 
-    def find_play() -> Optional[tuple[int, int, PlayShape]]:
-        for t in threads:
-            for i, p in enumerate(t.trace):
-                if (t.idx, i) in fired:
-                    continue
-                hit = history.open_match(p)
-                if hit is not None:
-                    idx, m, handler = hit
-                    return t.idx, i, PlayShape(idx, m, handler)
-        return None
+    def spawn(p: Process) -> None:
+        t = _Thread(len(threads), p)
+        threads.append(t)
+        watch(t, 0)
 
+    def record(entry: HistoryEntry) -> int:
+        idx = history.append(entry)
+        if entry.depth() == phi.rounds:
+            p = Process(entry.u, entry.pi)
+            for t in threads:
+                i = t._seen.get(p)
+                if i is not None:
+                    heapq.heappush(wins, (t.idx, i, idx))
+        else:
+            # a handle waits only while no entry has it, so idx is the first
+            for t_idx, i, m, handler in waiting.pop((entry.u, entry.pi), ()):
+                heapq.heappush(plays, (t_idx, i, idx, m, handler))
+        return idx
+
+    spawn(_initial_process(realizer, handle, leading))
     while True:
-        win = find_win()
-        if win is not None:
-            t_idx, c_idx, entry_idx = win
-            return outcome("EloiseWin", None,
-                           f"complete entry {entry_idx} reached with payoff 0 "
-                           f"by position {t_idx} at step {c_idx}",
-                           witness=entry_idx, ref=(t_idx, c_idx))
-        play = find_play()
-        if play is not None:
-            t_idx, c_idx, shape = play
-            fired.add((t_idx, c_idx))
-            entry = history.entries[shape.entry_index]
-            ctx = MoveContext(phi, entry, shape.entry_index, shape.m, shape.t,
-                              move_number)
+        while wins:
+            t_idx, c_idx, entry_idx = wins[0]
+            if entry_idx not in payoffs:
+                e = history.entries[entry_idx]
+                payoffs[entry_idx] = phi.f_value(zs, e.ms, e.ns)
+            if payoffs[entry_idx] == 0:
+                return outcome("EloiseWin", None,
+                               f"complete entry {entry_idx} reached with payoff 0 "
+                               f"by position {t_idx} at step {c_idx}",
+                               witness=entry_idx, ref=(t_idx, c_idx))
+            heapq.heappop(wins)
+        if plays:
+            t_idx, c_idx, entry_idx, m, handler = heapq.heappop(plays)
+            entry = history.entries[entry_idx]
+            ctx = MoveContext(phi, entry, entry_idx, m, handler, move_number)
             reply = abelard(ctx)
             if reply is None:
                 return outcome("AbelardWin", "budget",
                                "opponent had no further reply")
             n, u_new, pi_new = reply
-            new_idx = history.append(HistoryEntry(
-                (*entry.ms, shape.m), (*entry.ns, n), u_new, pi_new))
-            moves.append(MoveRecord(move_number, shape.entry_index, shape.m,
-                                    n, new_idx, thread=t_idx, config=c_idx))
+            new_idx = record(HistoryEntry(
+                (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
+            moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx,
+                                    thread=t_idx, config=c_idx))
             move_number += 1
-            threads.append(_Thread(
-                len(threads),
-                Process(shape.t, Push(numeral(n), Push(u_new, pi_new)))))
+            spawn(Process(handler, Push(numeral(n), Push(u_new, pi_new))))
             continue
         if total_steps >= total_budget:
             return outcome("AbelardWin", "budget", "total step budget exhausted")
@@ -547,8 +581,11 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
                            "every position is stuck or looping and no move "
                            "shape remains")
         for t in alive:
+            start = len(t.trace)
             total_steps += t.advance(machine, quantum,
                                      total_budget - total_steps)
+            for i in range(start, len(t.trace)):
+                watch(t, i)
 
 
 ### the abstract game

@@ -169,10 +169,9 @@ def tuple_successor(tup: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def box_max_index(bound: int, h: int) -> int:
-    """Every tuple with entries <= bound occurs at or before this index."""
-    from itertools import product
-
-    return max(tuple_index(t) for t in product(range(bound + 1), repeat=h))
+    """Every tuple with entries <= bound occurs at or before this index.
+    Cantor pairing grows with each argument, so the corner is the last."""
+    return tuple_index((bound,) * h)
 
 
 ### recorded-position lists carried by the universal strategy

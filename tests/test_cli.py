@@ -331,3 +331,26 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "terminal: stuck" in proc.stdout
+
+
+def run_module(*argv):
+    """The CLI in a fresh interpreter, at Python's default recursion limit."""
+    return subprocess.run([sys.executable, "-m", "lamc.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def test_eval_of_deeply_nested_parentheses_is_an_error_not_a_traceback():
+    deep = "(" * 2000 + "c_a" + ")" * 2000
+    proc = run_module("eval", f"{deep} * a0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_scheme_of_a_deeply_nested_term_is_an_error_not_a_traceback():
+    deep = "(" * 2000 + r"\u. u #3 (\n v. v)" + ")" * 2000
+    proc = run_module("scheme", "--term", deep, "--formula", "leq",
+                      "--answers", "9")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

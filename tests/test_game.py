@@ -1,9 +1,12 @@
 """Referee tests: move detection, the three games, adversaries, replays."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from g2_reference import play_g2_rescan
 from lamc.formula import (
     IDX_HALT3,
     IDX_LOOP,
@@ -44,6 +47,7 @@ from lamc.realizers import (
     build_t_leq,
     build_t_phi,
     leq_round_opener,
+    resolve_realizer,
 )
 from lamc.syntax import (
     App,
@@ -57,6 +61,7 @@ from lamc.syntax import (
     parse_term,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORMULAE = builtin_formulae()
 LEQ = FORMULAE["leq"]
 PHI4 = FORMULAE["phi4"]
@@ -567,6 +572,140 @@ def test_g1_wins_replay_to_g2_wins():
                      leading=leading)
         assert g2.eloise_won
         assert [(m.m, m.n) for m in g2.moves] == [(m.m, m.n) for m in g1.moves]
+
+
+### the incremental multi-thread referee against the rescanning reference
+
+def outcome_fingerprint(out):
+    """What to_json() reports, with each configuration as its structural
+    hash instead of its text: printing every configuration of a long match
+    costs far more than playing it."""
+    return (out.verdict, out.reason, out.detail, out.witness_entry,
+            out.witness_ref, out.total_steps, out.history.entries, out.moves,
+            [[(hash(p), rule) for p, rule in seg] for seg in out.segments])
+
+
+def play_both(make_match, text=True):
+    """Play one match with each referee, each on its own fresh registry."""
+    new, old = (make_match(play) for play in (play_g2, play_g2_rescan))
+    assert new.witness_ref == old.witness_ref
+    if text:
+        assert new.to_json() == old.to_json()
+    else:
+        assert outcome_fingerprint(new) == outcome_fingerprint(old)
+    return new
+
+
+@pytest.mark.parametrize("fixture,realizer,formula", [
+    ("wild.json", "t_leq", "leq"),
+    ("halt_halt3.json", "t_halt", "halt"),
+    ("halt_loop.json", "t_halt", "halt"),
+])
+def test_g2_incremental_referee_agrees_on_the_fixtures(fixture, realizer,
+                                                       formula):
+    def match(play):
+        reg = full_registry()
+        leading, handle, abelard = load_abelard_script(
+            str(FIXTURES / fixture), reg)
+        return play(reg, resolve_realizer(reg, realizer, FORMULAE),
+                    FORMULAE[formula], handle, abelard, leading=leading)
+
+    assert play_both(match).eloise_won
+
+
+# 736660294 replies with the root handle, so two open entries share it
+SEEDS = [*range(100), 736660294]
+# matches whose every configuration is printed and compared as text
+TEXT_SEEDS = {"t_leq": SEEDS, "t_phi_leq": SEEDS,
+              "t_phi_phi4": [*range(5), 736660294]}
+
+
+@pytest.mark.parametrize("realizer,formula", [
+    ("t_leq", "leq"), ("t_phi_leq", "leq"), ("t_phi_phi4", "phi4")])
+def test_g2_incremental_referee_agrees_on_random_adversaries(realizer,
+                                                             formula):
+    for seed in SEEDS:
+        def match(play):
+            reg = full_registry()
+            return play(reg, resolve_realizer(reg, realizer, FORMULAE),
+                        FORMULAE[formula], fresh_handle(reg),
+                        RandomAbelard(reg, seed))
+
+        play_both(match, text=seed in TEXT_SEEDS[realizer])
+
+
+def test_g2_play_reached_before_its_entry_fires_on_the_earliest_entry():
+    # thread 0 plays #0 twice on the root, then reaches c_u * #1 . K . a0
+    # before any entry has the handle (c_u, a0); both replies hand out that
+    # handle, and the waiting play must go to the first of the two entries
+    def match(play):
+        reg = full_registry()
+        realizer = parse_term(r"\u. u #0 (u #0 (c_u #1 (\p w. w)) c_v)", reg)
+        handle = (IDENT, Push(Const("c_v"), Bottom("a0")))
+        script = [(0, Const("c_u"), Bottom("a0")),
+                  (1, Const("c_u"), Bottom("a0")),
+                  (0, Const("c_v"), Bottom("a1"))]
+        return play(reg, realizer, PHI4, handle, ScriptedAbelard(script))
+
+    out = play_both(match)
+    assert_win_sound(out, PHI4)
+    assert [(mv.thread, mv.config, mv.entry_index) for mv in out.moves] == [
+        (0, 3, 0), (0, 9, 0), (0, 14, 1)]
+    e1, e2 = out.history.entries[1:3]
+    assert (e1.u, e1.pi) == (e2.u, e2.pi) == (Const("c_u"), Bottom("a0"))
+    assert out.history.open_match(out.segments[0][14][0])[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("budget", [5_000, 20_000])
+def test_g2_incremental_referee_agrees_on_a_diverging_term(budget):
+    def match(play):
+        reg = full_registry()
+        return play(reg, App(SELF_APP_GROW, SELF_APP_GROW), PHI4,
+                    fresh_handle(reg), RandomAbelard(reg, 0),
+                    total_budget=budget)
+
+    out = play_both(match, text=False)
+    assert (out.reason, out.total_steps) == ("budget", budget)
+
+
+def test_g2_quantum_small_and_large_agree_with_the_reference():
+    def match(play, quantum):
+        reg = full_registry()
+        return play(reg, resolve_realizer(reg, "t_phi_phi4", FORMULAE), PHI4,
+                    fresh_handle(reg), RandomAbelard(reg, 3), quantum=quantum)
+
+    for quantum in (1, 7, 10_000):
+        play_both(lambda play: match(play, quantum), text=False)
+
+
+@pytest.mark.parametrize("realizer,adversary,budget", [
+    (App(SELF_APP_GROW, SELF_APP_GROW), lambda reg: ScriptedAbelard([]),
+     20_000),
+    ("t_phi_phi4", lambda reg: RandomAbelard(reg, 27), 100_000),
+])
+def test_g2_matches_each_configuration_once(monkeypatch, realizer, adversary,
+                                            budget):
+    calls = Counter()
+    for name in ("final_matches", "open_match"):
+        def counted(self, p, _original=getattr(History, name)):
+            calls["lookup"] += 1
+            return _original(self, p)
+        monkeypatch.setattr(History, name, counted)
+
+    def lookups(play, total_budget):
+        calls.clear()
+        reg = full_registry()
+        subject = (resolve_realizer(reg, realizer, FORMULAE)
+                   if isinstance(realizer, str) else realizer)
+        out = play(reg, subject, PHI4, fresh_handle(reg), adversary(reg),
+                   total_budget=total_budget)
+        return calls["lookup"], sum(map(len, out.segments)) + len(out.history)
+
+    made, size = lookups(play_g2, budget)
+    assert made <= 2 * size
+    # the guard catches rescans, already on a short run
+    made, size = lookups(play_g2_rescan, 2_000)
+    assert made > 2 * size
 
 
 ### adversaries and scripts

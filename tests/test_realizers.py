@@ -199,6 +199,17 @@ def test_box_is_covered_within_its_max_index():
         assert tup in seen
 
 
+def box_max_index_by_enumeration(bound, h):
+    """Reference: the largest index over the whole box."""
+    return max(tuple_index(t) for t in product(range(bound + 1), repeat=h))
+
+
+def test_box_max_index_is_the_corner_of_the_box():
+    for bound in range(9):
+        for h in range(1, 5):
+            assert box_max_index(bound, h) == box_max_index_by_enumeration(bound, h)
+
+
 def test_cantor_pair_unpair():
     assert cantor_pair(0, 0) == 0
     for i in range(200):
