@@ -54,7 +54,6 @@ from .machine import (
     install_fork,
     install_quote,
     run,
-    step,
     thread,
 )
 from .formula import (
@@ -67,7 +66,6 @@ from .formula import (
     eval_fn,
     halt_predicate,
     load_formula_registry,
-    make_f_H,
     make_theta,
     simulate,
     truth_oracle_g0,
@@ -122,11 +120,11 @@ __all__ = [
     # machine
     "Machine", "MachineConfig", "Terminal", "Trace", "base_registry",
     "install_cc", "install_eq", "install_eq_nat", "install_fork",
-    "install_quote", "run", "step", "thread",
+    "install_quote", "run", "thread",
     # formula
     "ArithFormula", "PrimRecFn", "TuringMachineTable", "builtin_formulae",
     "decode_table", "encode_table", "eval_fn", "halt_predicate",
-    "load_formula_registry", "make_f_H", "make_theta", "simulate",
+    "load_formula_registry", "make_theta", "simulate",
     "truth_oracle_g0",
     # game
     "FreshConstantAbelard", "G0Outcome", "History", "HistoryEntry",

@@ -19,12 +19,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .syntax import (
     LamcError,
     Process,
-    Push,
     Registry,
     Stack,
     Term,
     decode_nat_tuple,
     decode_numeral,
+    pop_items,
 )
 
 ### primitive recursive function expressions
@@ -435,29 +435,19 @@ def make_theta(registry: Registry, fn: PrimRecFn, split: tuple[int, int],
         return None
 
     def rule(machine, s: Stack):
-        items = []
-        cur = s
-        for _ in range(4):
-            if not isinstance(cur, Push):
-                return None
-            items.append(cur.top)
-            cur = cur.rest
-        a_item, b_item, t0, t1 = items
+        popped = pop_items(s, 4)
+        if popped is None:
+            return None
+        (a_item, b_item, t0, t1), rest = popped
         a_args = decode_block(a_item, a_arity)
         b_args = decode_block(b_item, b_arity)
         if a_args is None or b_args is None:
             return None
         value = eval_fn(fn, [*a_args, *b_args])
-        return Process(t0 if value == 0 else t1, cur)
+        return Process(t0 if value == 0 else t1, rest)
 
     registry.install_instruction(name, rule, label=name)
     return name
-
-
-def make_f_H() -> PrimRecFn:
-    """The halting payoff: f(m,n,p) = 0 iff (n>0 and machine m stops before n
-    steps) or (n=0 and machine m does not stop before p steps)."""
-    return FN_F_HALT
 
 
 ### the bounded backtracking-game oracle

@@ -16,10 +16,11 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .formula import ArithFormula, truth_oracle_g0
-from .machine import Machine
+from .machine import Machine, walk
 from .realizers import box_max_index, is_proof_like, next_tuple
 from .syntax import (
     Bottom,
@@ -381,19 +382,19 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
     moves: list[MoveRecord] = []
     segments: list[list[tuple[Process, Optional[str]]]] = [[]]
     total_steps = 0
-    phase_steps = 0
-    seen_this_phase: set[Process] = set()
     move_number = 0
 
     def outcome(verdict, reason, detail, witness=None):
         return MatchOutcome(verdict, reason, detail, history, moves, segments,
                             witness_entry=witness, total_steps=total_steps)
 
-    rule: Optional[str] = None
     while True:
-        segments[-1].append((p, rule))
-        event = detect_move(p, history, phi.rounds)
-        if isinstance(event, WinShape):
+        # one phase: the run from p until a play abandons it
+        phase_start = total_steps
+        seen: set[Process] = set()
+        for phase_steps, (p, rule) in enumerate(walk(machine, p)):
+            total_steps = phase_start + phase_steps
+            segments[-1].append((p, rule))
             for idx in history.final_matches(p):
                 e = history.entries[idx]
                 if phi.f_value(zs, e.ms, e.ns) == 0:
@@ -401,75 +402,62 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
                                    f"complete entry {idx} reached with payoff 0",
                                    witness=idx)
             hit = history.open_match(p)
-            event = None if hit is None else PlayShape(*hit)
-        if isinstance(event, PlayShape):
-            entry = history.entries[event.entry_index]
-            ctx = MoveContext(phi, entry, event.entry_index, event.m, event.t,
-                              move_number)
-            reply = abelard(ctx)
-            if reply is None:
-                return outcome("AbelardWin", "budget",
-                               "opponent had no further reply")
-            n, u_new, pi_new = reply
-            new_idx = history.append(HistoryEntry(
-                (*entry.ms, event.m), (*entry.ns, n), u_new, pi_new))
-            moves.append(MoveRecord(move_number, event.entry_index, event.m,
-                                    n, new_idx))
-            move_number += 1
-            p = Process(event.t, Push(numeral(n), Push(u_new, pi_new)))
-            segments.append([])
-            phase_steps = 0
-            seen_this_phase = set()
-            rule = None
-            continue
-        if p in seen_this_phase:
-            return outcome("AbelardWin", "stuck",
-                           "the process entered a loop with no move in sight")
-        seen_this_phase.add(p)
-        if phase_steps >= phase_budget:
-            return outcome("AbelardWin", "budget", "phase step budget exhausted")
-        if total_steps >= total_budget:
-            return outcome("AbelardWin", "budget", "total step budget exhausted")
-        nxt, rule = machine.step_labeled(p)
-        if nxt is None:
+            if hit is not None:
+                entry_idx, m, t = hit
+                entry = history.entries[entry_idx]
+                reply = abelard(MoveContext(phi, entry, entry_idx, m, t,
+                                            move_number))
+                if reply is None:
+                    return outcome("AbelardWin", "budget",
+                                   "opponent had no further reply")
+                n, u_new, pi_new = reply
+                new_idx = history.append(HistoryEntry(
+                    (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
+                moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx))
+                move_number += 1
+                p = Process(t, Push(numeral(n), Push(u_new, pi_new)))
+                segments.append([])
+                break
+            if p in seen:
+                return outcome("AbelardWin", "stuck",
+                               "the process entered a loop with no move in sight")
+            seen.add(p)
+            if phase_steps >= phase_budget:
+                return outcome("AbelardWin", "budget", "phase step budget exhausted")
+            if total_steps >= total_budget:
+                return outcome("AbelardWin", "budget", "total step budget exhausted")
+        else:
             return outcome("AbelardWin", "stuck", "the machine is stuck")
-        if isinstance(nxt, tuple):
-            raise LamcError("matches want a deterministic machine: fork fired")
-        p = nxt
-        phase_steps += 1
-        total_steps += 1
 
 
 ### the multi-thread game
 
 class _Thread:
-    def __init__(self, idx: int, p: Process):
+    """One keep-everything position: its walk and every configuration reached."""
+
+    def __init__(self, idx: int, machine: Machine, p: Process):
         self.idx = idx
         self.trace: list[Process] = [p]
         self.rules: list[Optional[str]] = [None]
         self.alive = True
-        self.death: Optional[str] = None           # "stuck" | "cycle"
         self._seen: dict[Process, int] = {p: 0}
+        self._walk = walk(machine, p)
+        next(self._walk)  # (p, None), already recorded
 
-    def advance(self, machine: Machine, quantum: int, remaining: int) -> int:
+    def advance(self, budget: int) -> int:
+        """At most budget steps. The thread dies stuck, or on a step into a
+        configuration it holds: that step counts, the configuration is not kept."""
         steps = 0
-        while self.alive and steps < quantum and steps < remaining:
-            nxt, rule = machine.step_labeled(self.trace[-1])
-            if nxt is None:
-                self.alive = False
-                self.death = "stuck"
-                break
-            if isinstance(nxt, tuple):
-                raise LamcError(
-                    "matches want a deterministic machine: fork fired")
+        for p, rule in islice(self._walk, budget):
             steps += 1
-            if nxt in self._seen:
+            if p in self._seen:
                 self.alive = False
-                self.death = "cycle"
-                break
-            self.trace.append(nxt)
+                return steps
+            self._seen[p] = len(self.trace)
+            self.trace.append(p)
             self.rules.append(rule)
-            self._seen[nxt] = len(self.trace) - 1
+        if steps < budget:
+            self.alive = False
         return steps
 
 
@@ -491,6 +479,8 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
     order a scan of every trace would find them, wins first; a payoff is
     evaluated only when its candidate comes first, once per entry."""
     _check_match_inputs(registry, realizer, phi, handle, leading)
+    if quantum < 1:
+        raise LamcError("the quantum must be at least one step")
     machine = Machine(registry)
     history = History(phi.rounds)
     history.append(HistoryEntry((), (), handle[0], handle[1]))
@@ -526,7 +516,7 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
             waiting.setdefault(key, []).append((t.idx, i, m, handler))
 
     def spawn(p: Process) -> None:
-        t = _Thread(len(threads), p)
+        t = _Thread(len(threads), machine, p)
         threads.append(t)
         watch(t, 0)
 
@@ -582,8 +572,7 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
                            "shape remains")
         for t in alive:
             start = len(t.trace)
-            total_steps += t.advance(machine, quantum,
-                                     total_budget - total_steps)
+            total_steps += t.advance(min(quantum, total_budget - total_steps))
             for i in range(start, len(t.trace)):
                 watch(t, i)
 

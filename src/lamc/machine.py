@@ -12,26 +12,23 @@ items), eq_nat (branch on equality of two literal numerals) and fork
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .syntax import (
     App,
-    Bottom,
-    Bound,
     Const,
     Cont,
-    FreeVar,
     Lam,
     LamcError,
     Process,
     Push,
     Registry,
     Stack,
-    Term,
     decode_numeral,
     is_closed,
     numeral,
+    pop_items,
     process_to_text,
     stack_to_text,
     subst_bound0,
@@ -92,12 +89,8 @@ class Machine:
         return None, None
 
     def step(self, p: Process) -> StepResult:
+        """One transition: None when stuck, a pair when fork fires."""
         return self.step_labeled(p)[0]
-
-
-def step(machine: Machine, p: Process) -> StepResult:
-    """One transition: None when stuck, a pair when fork fires."""
-    return machine.step(p)
 
 
 ### built-in instruction rules
@@ -118,52 +111,32 @@ def step_quote(machine: Machine, s: Stack) -> StepResult:
 
 def step_eq(machine: Machine, s: Stack) -> StepResult:
     """eq * t1.t2.u.v.pi  >  u * pi when t1 and t2 are alpha equal, else v * pi."""
-    items, _ = _peel(s, 4)
-    if items is None:
+    popped = pop_items(s, 4)
+    if popped is None:
         return None
-    t1, t2, u, v = items
-    rest = _drop(s, 4)
+    (t1, t2, u, v), rest = popped
     return Process(u if t1 == t2 else v, rest)
 
 
 def step_eq_nat(machine: Machine, s: Stack) -> StepResult:
     """eq_nat * m.n.u.v.pi  >  u * pi when the literal numerals agree, else v * pi."""
-    items, _ = _peel(s, 4)
-    if items is None:
+    popped = pop_items(s, 4)
+    if popped is None:
         return None
-    m, n, u, v = items
+    (m, n, u, v), rest = popped
     dm, dn = decode_numeral(m), decode_numeral(n)
     if dm is None or dn is None:
         return None
-    rest = _drop(s, 4)
     return Process(u if dm == dn else v, rest)
 
 
 def step_fork(machine: Machine, s: Stack) -> StepResult:
     """fork * t0.t1.pi  >  both t0 * pi and t1 * pi."""
-    items, _ = _peel(s, 2)
-    if items is None:
+    popped = pop_items(s, 2)
+    if popped is None:
         return None
-    t0, t1 = items
-    rest = _drop(s, 2)
+    (t0, t1), rest = popped
     return (Process(t0, rest), Process(t1, rest))
-
-
-def _peel(s: Stack, n: int) -> tuple[Optional[list[Term]], Stack]:
-    items: list[Term] = []
-    for _ in range(n):
-        if not isinstance(s, Push):
-            return None, s
-        items.append(s.top)
-        s = s.rest
-    return items, s
-
-
-def _drop(s: Stack, n: int) -> Stack:
-    for _ in range(n):
-        assert isinstance(s, Push)
-        s = s.rest
-    return s
 
 
 ### registry construction
@@ -280,6 +253,22 @@ class Trace:
         }
 
 
+def walk(machine: Machine, p: Process) -> Iterator[tuple[Process, Optional[str]]]:
+    """The deterministic run of p, lazily: each configuration with the rule
+    that reached it, starting with (p, None) and ending when the machine is
+    stuck. A step is made only when the next configuration is asked for; a
+    fork step is an error. Budgets, cycles and move shapes are the caller's."""
+    rule: Optional[str] = None
+    while True:
+        yield p, rule
+        out, rule = machine.step_labeled(p)
+        if out is None:
+            return
+        if isinstance(out, tuple):
+            raise LamcError("fork fired during a deterministic run")
+        p = out
+
+
 def run(machine: Machine, p: Process, budget: int = 10_000,
         watchers: Sequence[Callable[[Process], bool]] = ()) -> Trace:
     """Drive p deterministically until stuck, cycling, out of budget, or watched.
@@ -292,12 +281,9 @@ def run(machine: Machine, p: Process, budget: int = 10_000,
     steps: list[Process] = []
     rules: list[Optional[str]] = []
     seen: dict[Process, int] = {}
-    current = p
-    made_rule: Optional[str] = None
-    while True:
+    for idx, (current, rule) in enumerate(walk(machine, p)):
         steps.append(current)
-        rules.append(made_rule)
-        idx = len(steps) - 1
+        rules.append(rule)
         for wi, watcher in enumerate(watchers):
             if watcher(current):
                 return Trace(steps, rules, Terminal("watcher", watcher=wi, at=idx))
@@ -307,12 +293,7 @@ def run(machine: Machine, p: Process, budget: int = 10_000,
         seen[current] = idx
         if idx >= budget:
             return Trace(steps, rules, Terminal("budget"))
-        out, made_rule = machine.step_labeled(current)
-        if out is None:
-            return Trace(steps, rules, Terminal("stuck"))
-        if isinstance(out, tuple):
-            raise LamcError("fork fired during a deterministic run")
-        current = out
+    return Trace(steps, rules, Terminal("stuck"))
 
 
 def thread(machine: Machine, p: Process, max_nodes: int = 10_000) -> tuple[list[Process], bool]:

@@ -39,6 +39,7 @@ from .syntax import (
     lam,
     numeral,
     parse_term,
+    pop_items,
     random_closed_term,
     random_stack,
     subst_var,
@@ -275,16 +276,6 @@ def _install_next(registry: Registry) -> None:
     registry.install_instruction("next", rule, label="next")
 
 
-def _pop(s: Stack, count: int) -> Optional[tuple[list[Term], Stack]]:
-    items = []
-    for _ in range(count):
-        if not isinstance(s, Push):
-            return None
-        items.append(s.top)
-        s = s.rest
-    return items, s
-
-
 def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
     """Universal realizer for a closed formula with h > 0 quantifier rounds
     and no leading universal block. Walks the tuple enumeration; on a failed
@@ -323,7 +314,7 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
 
     def make_turn_rule(i: int) -> Callable:
         def rule(machine: Machine, s: Stack):
-            popped = _pop(s, 5)
+            popped = pop_items(s, 5)
             if popped is None:
                 return None
             (m_enc, n_enc, h_enc, n_term, u_term), rest = popped
@@ -349,7 +340,7 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
         return rule
 
     def rule_advance(machine: Machine, s: Stack):
-        popped = _pop(s, 2)
+        popped = pop_items(s, 2)
         if popped is None:
             return None
         (m_enc, h_enc), rest = popped
@@ -357,7 +348,7 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
         return Process(Const("next"), Push(m_enc, Push(looker, rest)))
 
     def rule_lookup(machine: Machine, s: Stack):
-        popped = _pop(s, 2)
+        popped = pop_items(s, 2)
         if popped is None:
             return None
         (h_enc, m_enc), _rest = popped

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .formula import ArithFormula
-from .machine import Machine, MachineConfig
+from .machine import Machine, MachineConfig, walk
 from .syntax import (
     Bottom,
     Const,
@@ -293,29 +293,26 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
     steps_left = budget
 
     while True:
-        trace: list[Process] = [p]
-        seen = {p}
-        shape = _interaction_shape(p, kappa_index, alpha_of)
-        while shape is None:
-            if steps_left <= 0:
-                return SchemeFailure("budget", "step budget exhausted",
-                                     nodes, lines)
-            nxt = machine.step(p)
-            steps_left -= 1
-            if nxt is None:
-                return SchemeFailure(
-                    "stuck", f"no continuation at {process_to_text(p)}",
-                    nodes, lines)
-            if isinstance(nxt, tuple):
-                raise LamcError(
-                    "extraction wants a deterministic machine: fork fired")
-            p = nxt
+        # one line: the run from p to the next recognized shape
+        trace: list[Process] = []
+        seen: set[Process] = set()
+        for p, _ in walk(machine, p):
             if p in seen:
                 return SchemeFailure("stuck", "the run entered a loop",
                                      nodes, lines)
             seen.add(p)
             trace.append(p)
             shape = _interaction_shape(p, kappa_index, alpha_of)
+            if shape is not None:
+                break
+            if steps_left <= 0:
+                return SchemeFailure("budget", "step budget exhausted",
+                                     nodes, lines)
+            steps_left -= 1
+        else:
+            return SchemeFailure(
+                "stuck", f"no continuation at {process_to_text(p)}",
+                nodes, lines)
 
         lines.append(SchemeLine(trace[0], trace[-1], tuple(trace)))
         if shape[0] == "finish":

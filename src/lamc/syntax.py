@@ -699,10 +699,13 @@ def stack_of(items: Iterable[Term], bottom: str) -> Stack:
     return s
 
 
-def stack_items(s: Stack) -> tuple[list[Term], Stack]:
-    """Split a stack into its pushed items (top first) and its tail bottom."""
+def pop_items(s: Stack, n: int) -> Optional[tuple[list[Term], Stack]]:
+    """The top n items of a stack (top first) and the stack under them, or
+    None when fewer than n items are pushed."""
     items = []
-    while isinstance(s, Push):
+    for _ in range(n):
+        if not isinstance(s, Push):
+            return None
         items.append(s.top)
         s = s.rest
     return items, s

@@ -22,10 +22,40 @@ from lamc.game import (
     PlayShape,
     _check_match_inputs,
     _initial_process,
-    _Thread,
 )
 from lamc.machine import Machine
-from lamc.syntax import Process, Push, Registry, Stack, Term, numeral
+from lamc.syntax import LamcError, Process, Push, Registry, Stack, Term, numeral
+
+
+class _Thread:
+    """One position's whole trace, stepped on its own so that the reference
+    shares no stepping code with the referee it checks."""
+
+    def __init__(self, idx: int, p: Process):
+        self.idx = idx
+        self.trace: list[Process] = [p]
+        self.rules: list[Optional[str]] = [None]
+        self.alive = True
+        self._seen: dict[Process, int] = {p: 0}
+
+    def advance(self, machine: Machine, quantum: int, remaining: int) -> int:
+        steps = 0
+        while self.alive and steps < quantum and steps < remaining:
+            nxt, rule = machine.step_labeled(self.trace[-1])
+            if nxt is None:
+                self.alive = False
+                break
+            if isinstance(nxt, tuple):
+                raise LamcError(
+                    "matches want a deterministic machine: fork fired")
+            steps += 1
+            if nxt in self._seen:
+                self.alive = False
+                break
+            self.trace.append(nxt)
+            self.rules.append(rule)
+            self._seen[nxt] = len(self.trace) - 1
+        return steps
 
 
 def play_g2_rescan(registry: Registry, realizer: Term, phi: ArithFormula,

@@ -174,6 +174,15 @@ def test_match_config_errors(capsys, tmp_path):
     assert rc == 2
 
 
+def test_match_quantum_below_one_is_an_error_not_a_hang(capsys):
+    for quantum in ("0", "-1"):
+        rc, _, err = run_cli(capsys, "match", "--game", "g2",
+                             "--realizer", "ident", "--formula", "leq",
+                             "--abelard", "fresh", "--answers", "0",
+                             "--quantum", quantum)
+        assert rc == 2 and "quantum" in err
+
+
 def test_match_json_is_deterministic_and_structured(capsys):
     args = ("match", "--game", "g2", "--realizer", "t_leq",
             "--formula", "leq", "--abelard", WILD, "--json")

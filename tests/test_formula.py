@@ -30,7 +30,6 @@ from lamc.formula import (
     eval_fn,
     halt_predicate,
     load_formula_registry,
-    make_f_H,
     make_theta,
     simulate,
     table_halt3,
@@ -149,15 +148,13 @@ def test_halt_predicate_examples():
 
 
 def test_f_halt_definition():
-    f = make_f_H()
-    assert f is FN_F_HALT
     # halting machine: n > 0 rounds
-    assert eval_fn(f, [IDX_HALT3, 4, 0]) == 0
-    assert eval_fn(f, [IDX_HALT3, 3, 0]) == 1
+    assert eval_fn(FN_F_HALT, [IDX_HALT3, 4, 0]) == 0
+    assert eval_fn(FN_F_HALT, [IDX_HALT3, 3, 0]) == 1
     # non-halting machine: the n = 0 escape hatch
-    assert eval_fn(f, [IDX_LOOP, 0, 7]) == 0
-    assert eval_fn(f, [IDX_HALT3, 0, 7]) == 1
-    assert eval_fn(f, [IDX_HALT3, 0, 3]) == 0
+    assert eval_fn(FN_F_HALT, [IDX_LOOP, 0, 7]) == 0
+    assert eval_fn(FN_F_HALT, [IDX_HALT3, 0, 7]) == 1
+    assert eval_fn(FN_F_HALT, [IDX_HALT3, 0, 3]) == 0
 
 
 ### formulas

@@ -14,8 +14,8 @@ from lamc.machine import (
     RULE_SAVE,
     base_registry,
     run,
-    step,
     thread,
+    walk,
 )
 from lamc.syntax import (
     App,
@@ -46,28 +46,28 @@ def mk(reg=None):
 def test_push_rule():
     m = mk()
     p = parse_process("(\\x. x) (\\y. y) * a0", m.registry)
-    q = step(m, p)
+    q = m.step(p)
     assert q == parse_process("(\\x. x) * (\\y. y) . a0", m.registry)
 
 
 def test_grab_rule():
     m = mk()
     p = parse_process("(\\x. x x) * (\\y. y) . a0", m.registry)
-    q = step(m, p)
+    q = m.step(p)
     assert q == parse_process("(\\y. y) (\\y. y) * a0", m.registry)
 
 
 def test_save_rule():
     m = mk()
     p = parse_process("cc * (\\x. x) . a0", m.registry)
-    q = step(m, p)
+    q = m.step(p)
     assert q == parse_process("(\\x. x) * k[a0] . a0", m.registry)
 
 
 def test_restore_rule():
     m = mk()
     p = parse_process("k[(\\x. x) . a0] * (\\y. y y) . a1", m.registry)
-    q = step(m, p)
+    q = m.step(p)
     assert q == parse_process("(\\y. y y) * (\\x. x) . a0", m.registry)
 
 
@@ -77,7 +77,7 @@ def test_stuck_heads():
         reg = MachineConfig(inert_consts=("c",)).build()
         mm = Machine(reg)
         p = parse_process(text, reg)
-        assert step(mm, p) is None
+        assert mm.step(p) is None
 
 
 ### frozen small traces
@@ -155,6 +155,35 @@ def test_run_requires_closed_process():
         run(m, Process(Bound(0), Bottom("a0")))
 
 
+### walk: the one stepping loop
+
+def test_walk_yields_the_start_then_each_step_until_stuck():
+    reg = base_registry()
+    p = parse_process("(\\x. x) (\\y. y) * a0", reg)
+    assert list(walk(Machine(reg), p)) == [
+        (p, None),
+        (parse_process("(\\x. x) * (\\y. y) . a0", reg), RULE_PUSH),
+        (parse_process("(\\y. y) * a0", reg), RULE_GRAB),
+    ]
+
+
+def test_walk_steps_only_when_asked():
+    reg = base_registry(quote=True)
+    m = Machine(reg)
+    configs = walk(m, parse_process("quote * (\\x. x) . a0", reg))
+    next(configs)
+    assert m.quote_code(parse_stack("a1", reg)) == 0   # nothing quoted yet
+    assert next(configs) == (parse_process("(\\x. x) * #1 . a0", reg), RULE_QUOTE)
+
+
+def test_walk_refuses_fork():
+    reg = base_registry(fork=True)
+    configs = walk(Machine(reg), parse_process("fork * (\\x. x) . (\\y. y) . a0", reg))
+    next(configs)
+    with pytest.raises(LamcError, match="fork fired during a deterministic run"):
+        next(configs)
+
+
 ### continuations save and restore
 
 def test_cc_discards_and_restores():
@@ -175,21 +204,21 @@ def test_quote_codes_are_interned_first_seen():
     reg = base_registry(quote=True)
     m = Machine(reg)
     p0 = parse_process("quote * (\\x. x) . a0", reg)
-    q0 = step(m, p0)
+    q0 = m.step(p0)
     assert q0 == parse_process("(\\x. x) * #0 . a0", reg)
     p1 = parse_process("quote * (\\x. x) . (\\y. y) . a0", reg)
-    q1 = step(m, p1)
+    q1 = m.step(p1)
     assert q1 == parse_process("(\\x. x) * #1 . (\\y. y) . a0", reg)
     # same stack again, same code
-    assert step(m, p0) == q0
+    assert m.step(p0) == q0
     # a fresh machine starts over
-    assert step(Machine(reg), p1) == parse_process("(\\x. x) * #0 . (\\y. y) . a0", reg)
+    assert Machine(reg).step(p1) == parse_process("(\\x. x) * #0 . (\\y. y) . a0", reg)
 
 
 def test_quote_needs_an_argument():
     reg = base_registry(quote=True)
     m = Machine(reg)
-    assert step(m, parse_process("quote * a0", reg)) is None
+    assert m.step(parse_process("quote * a0", reg)) is None
 
 
 ### eq and eq_nat
@@ -198,35 +227,35 @@ def test_eq_branches_on_alpha_equality():
     reg = base_registry(eq=True)
     m = Machine(reg)
     p = parse_process("eq * (\\x. x) . (\\y. y) . #1 . #2 . a0", reg)
-    assert step(m, p) == parse_process("#1 * a0", reg)
+    assert m.step(p) == parse_process("#1 * a0", reg)
     p = parse_process("eq * (\\x. x) . (\\y. y y) . #1 . #2 . a0", reg)
-    assert step(m, p) == parse_process("#2 * a0", reg)
+    assert m.step(p) == parse_process("#2 * a0", reg)
 
 
 def test_eq_nat_branches_on_numeral_value():
     reg = base_registry(eq_nat=True)
     m = Machine(reg)
     p = parse_process("eq_nat * #3 . #3 . cc . eq_nat . a0", reg)
-    assert step(m, p) == parse_process("cc * a0", reg)
+    assert m.step(p) == parse_process("cc * a0", reg)
     p = parse_process("eq_nat * #3 . #4 . cc . eq_nat . a0", reg)
-    assert step(m, p) == parse_process("eq_nat * a0", reg)
+    assert m.step(p) == parse_process("eq_nat * a0", reg)
 
 
 def test_eq_nat_sticks_on_non_numerals():
     reg = base_registry(eq_nat=True)
     m = Machine(reg)
     p = parse_process("eq_nat * (\\x. x) . #3 . cc . cc . a0", reg)
-    assert step(m, p) is None
+    assert m.step(p) is None
     # beta-equivalent but not literal: still refused
     p = parse_process("eq_nat * (\\x f. f x) . #1 . cc . cc . a0", reg)
-    assert step(m, p) is None
+    assert m.step(p) is None
 
 
 def test_eq_and_eq_nat_need_four_items():
     reg = base_registry(eq=True, eq_nat=True)
     m = Machine(reg)
-    assert step(m, parse_process("eq * #1 . #1 . cc . a0", reg)) is None
-    assert step(m, parse_process("eq_nat * #1 . #1 . cc . a0", reg)) is None
+    assert m.step(parse_process("eq * #1 . #1 . cc . a0", reg)) is None
+    assert m.step(parse_process("eq_nat * #1 . #1 . cc . a0", reg)) is None
 
 
 ### fork
@@ -235,7 +264,7 @@ def test_fork_steps_to_a_pair():
     reg = base_registry(fork=True)
     m = Machine(reg)
     p = parse_process("fork * (\\x. x) . (\\y. y y) . a0", reg)
-    out = step(m, p)
+    out = m.step(p)
     assert isinstance(out, tuple)
     assert out[0] == parse_process("(\\x. x) * a0", reg)
     assert out[1] == parse_process("(\\y. y y) * a0", reg)

@@ -36,6 +36,7 @@ from lamc.syntax import (
     parse_process,
     parse_stack,
     parse_term,
+    pop_items,
     process_to_text,
     random_closed_term,
     random_stack,
@@ -238,6 +239,13 @@ def test_print_process_and_stack(base_reg):
 def test_print_stack_roundtrip(base_reg):
     s = parse_stack("(\\x y. y) . #2 . k[a1] . a0", base_reg)
     assert parse_stack(stack_to_text(s), base_reg) == s
+
+
+def test_pop_items_splits_off_the_top(base_reg):
+    s = parse_stack("(\\x. x) . #1 . a0", base_reg)
+    assert pop_items(s, 0) == ([], s)
+    assert pop_items(s, 2) == ([s.top, s.rest.top], Bottom("a0"))
+    assert pop_items(s, 3) is None
 
 
 ### substitution
