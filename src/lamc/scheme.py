@@ -31,8 +31,7 @@ from .syntax import (
     numeral,
     parse_term,
     process_to_text,
-    subst_const,
-    subst_stack_const,
+    subst_consts,
     subst_var,
     term_to_text,
 )
@@ -384,15 +383,20 @@ def replay_with_substitution(scheme: ThreadScheme,
     for j, (u, _) in replacements.items():
         if not is_closed(u):
             raise LamcError(f"replacement term for constant {j} must be closed")
-    predicted = []
-    for line in scheme.lines:
-        start, end = line.start, line.end
-        for j, (u, pi) in replacements.items():
-            kname, aname = scheme.constant_names(j)
-            start = subst_stack_const(subst_const(start, kname, u), aname, pi)
-            end = subst_stack_const(subst_const(end, kname, u), aname, pi)
-        predicted.append((start, end))
-    return predicted
+    if not all(is_closed(pi) for _, pi in replacements.values()):
+        raise LamcError("substituting an open stack for a stack constant")
+    # Constant j, then its bottom, are replaced in the order of the
+    # replacements, so an image is rewritten by every later replacement and
+    # by no earlier one: compose the images once, from the last replacement
+    # back, and rewrite each line in one pass.
+    terms: dict[str, Term] = {}
+    stacks: dict[str, Stack] = {}
+    for j, (u, pi) in reversed(replacements.items()):
+        kname, aname = scheme.constant_names(j)
+        stacks[aname] = subst_consts(pi, terms, stacks)
+        terms[kname] = subst_consts(u, terms, stacks)
+    return [(subst_consts(line.start, terms, stacks),
+             subst_consts(line.end, terms, stacks)) for line in scheme.lines]
 
 
 def verify_replay(registry: Registry, scheme: ThreadScheme,

@@ -461,6 +461,84 @@ def decode_nat_tuple(t: Term) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
+### one rebuilding walk and one name fold, both with an explicit stack
+
+def _rewrite(root: Node, visit: Callable[[Node, int], Optional[Node]]) -> Node:
+    """Rebuild a tree bottom-up without recursion.
+
+    visit(node, depth) gives the node's image, or None to rebuild the node
+    from the images of its children; depth counts the Lam binders above the
+    node. A node whose children all come back unchanged is returned as is,
+    so untouched subtrees stay shared.
+    """
+    done: list[Node] = []
+    todo: list[tuple[Node, int]] = [(root, 0)]
+    while todo:
+        node, depth = todo.pop()
+        kind = type(node)
+        if depth < 0:
+            # every child image of node is on top of done, last child on top
+            if kind is App:
+                a, f = done.pop(), done.pop()
+                done.append(node if (f is node.fn and a is node.arg) else App(f, a))
+            elif kind is Lam:
+                b = done.pop()
+                done.append(node if b is node.body else Lam(b, node.hint))
+            elif kind is Push:
+                rest, top = done.pop(), done.pop()
+                done.append(node if (top is node.top and rest is node.rest)
+                            else Push(top, rest))
+            elif kind is Cont:
+                s = done.pop()
+                done.append(node if s is node.stack else Cont(s))
+            else:
+                st, tm = done.pop(), done.pop()
+                done.append(node if (tm is node.term and st is node.stack)
+                            else Process(tm, st))
+            continue
+        image = visit(node, depth)
+        if image is not None:
+            done.append(image)
+        elif kind is App:
+            todo += ((node, -1), (node.arg, depth), (node.fn, depth))
+        elif kind is Lam:
+            todo += ((node, -1), (node.body, depth + 1))
+        elif kind is Push:
+            todo += ((node, -1), (node.rest, depth), (node.top, depth))
+        elif kind is Cont:
+            todo += ((node, -1), (node.stack, depth))
+        elif kind is Process:
+            todo += ((node, -1), (node.stack, depth), (node.term, depth))
+        else:
+            done.append(node)
+    return done[0]
+
+
+def _names(root: Node, kinds: tuple[type, ...],
+           wanted: Callable[[Node], bool]) -> set[str]:
+    """Names of the leaves of the given kinds anywhere in the tree, inside
+    k[pi] too; a subtree for which wanted() is false is skipped."""
+    out: set[str] = set()
+    todo: list[Node] = [root]
+    while todo:
+        n = todo.pop()
+        if not wanted(n):
+            continue
+        if isinstance(n, kinds):
+            out.add(n.name)
+        elif isinstance(n, Lam):
+            todo.append(n.body)
+        elif isinstance(n, App):
+            todo += (n.fn, n.arg)
+        elif isinstance(n, Cont):
+            todo.append(n.stack)
+        elif isinstance(n, Push):
+            todo += (n.top, n.rest)
+        elif isinstance(n, Process):
+            todo += (n.term, n.stack)
+    return out
+
+
 ### substitution
 
 def subst_bound0(body: Term, u: Term) -> Term:
@@ -468,35 +546,14 @@ def subst_bound0(body: Term, u: Term) -> Term:
     if u.free_width != 0:
         raise LamcError("substituting an open term for a bound variable")
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Cont):
-            s = go_stack(t.stack, depth)
-            return t if s is t.stack else Cont(s)
+    def visit(t: Node, depth: int) -> Optional[Node]:
         if t.free_width <= depth:
             return t
         if isinstance(t, Bound):
-            if t.index == depth:
-                return u
-            if t.index > depth:
-                return Bound(t.index - 1)
-            return t
-        if isinstance(t, Lam):
-            b = go(t.body, depth + 1)
-            return t if b is t.body else Lam(b, t.hint)
-        if isinstance(t, App):
-            f, a = go(t.fn, depth), go(t.arg, depth)
-            return t if (f is t.fn and a is t.arg) else App(f, a)
-        return t
+            return u if t.index == depth else Bound(t.index - 1)
+        return None
 
-    def go_stack(s: Stack, depth: int) -> Stack:
-        if s.free_width <= depth:
-            return s
-        if isinstance(s, Push):
-            top, rest = go(s.top, depth), go_stack(s.rest, depth)
-            return s if (top is s.top and rest is s.rest) else Push(top, rest)
-        return s
-
-    return go(body, 0)
+    return _rewrite(body, visit)
 
 
 def subst_var(t: Term, x: str, u: Term) -> Term:
@@ -504,137 +561,58 @@ def subst_var(t: Term, x: str, u: Term) -> Term:
     if u.free_width != 0:
         raise LamcError("substituting a term with unbound indices for a variable")
 
-    def go(node: Node) -> Node:
+    def visit(node: Node, depth: int) -> Optional[Node]:
         if not node.has_free:
             return node
         if isinstance(node, FreeVar):
             return u if node.name == x else node
-        if isinstance(node, Lam):
-            b = go(node.body)
-            return node if b is node.body else Lam(b, node.hint)
-        if isinstance(node, App):
-            f, a = go(node.fn), go(node.arg)
-            return node if (f is node.fn and a is node.arg) else App(f, a)
-        if isinstance(node, Cont):
-            s = go(node.stack)
-            return node if s is node.stack else Cont(s)
-        if isinstance(node, Push):
-            top, rest = go(node.top), go(node.rest)
-            return node if (top is node.top and rest is node.rest) else Push(top, rest)
-        if isinstance(node, Process):
-            tm, st = go(node.term), go(node.stack)
-            return node if (tm is node.term and st is node.stack) else Process(tm, st)
-        return node
+        return None
 
-    return go(t)
+    return _rewrite(t, visit)
+
+
+def subst_consts(t: Union[Term, Stack, Process], terms: dict[str, Term],
+                 stacks: dict[str, Stack]):
+    """Replace every term constant named in terms and every stack constant
+    named in stacks with its closed image, all at once, inside k[pi] too.
+    The images are not rewritten again."""
+    if not all(map(is_closed, terms.values())):
+        raise LamcError("substituting an open term for a constant")
+    if not all(map(is_closed, stacks.values())):
+        raise LamcError("substituting an open stack for a stack constant")
+
+    def visit(node: Node, depth: int) -> Optional[Node]:
+        if not ((terms and node.has_const) or (stacks and node.has_stackname)):
+            return node
+        if isinstance(node, Const):
+            return terms.get(node.name, node)
+        if isinstance(node, Bottom):
+            return stacks.get(node.name, node)
+        return None
+
+    return _rewrite(t, visit)
 
 
 def subst_const(t: Union[Term, Stack, Process], c: str, u: Term):
     """Replace the constant c with closed u everywhere, inside k[pi] too."""
-    if not is_closed(u):
-        raise LamcError("substituting an open term for a constant")
-
-    def go(node: Node) -> Node:
-        if not node.has_const:
-            return node
-        if isinstance(node, Const):
-            return u if node.name == c else node
-        if isinstance(node, Lam):
-            b = go(node.body)
-            return node if b is node.body else Lam(b, node.hint)
-        if isinstance(node, App):
-            f, a = go(node.fn), go(node.arg)
-            return node if (f is node.fn and a is node.arg) else App(f, a)
-        if isinstance(node, Cont):
-            s = go(node.stack)
-            return node if s is node.stack else Cont(s)
-        if isinstance(node, Push):
-            top, rest = go(node.top), go(node.rest)
-            return node if (top is node.top and rest is node.rest) else Push(top, rest)
-        if isinstance(node, Process):
-            tm, st = go(node.term), go(node.stack)
-            return node if (tm is node.term and st is node.stack) else Process(tm, st)
-        return node
-
-    return go(t)
+    return subst_consts(t, {c: u}, {})
 
 
 def subst_stack_const(t: Union[Term, Stack, Process], alpha: str, pi: Stack):
     """Replace the stack constant alpha with pi everywhere, inside k[pi'] too."""
-    if not is_closed(pi):
-        raise LamcError("substituting an open stack for a stack constant")
-
-    def go(node: Node) -> Node:
-        if not node.has_stackname:
-            return node
-        if isinstance(node, Bottom):
-            return pi if node.name == alpha else node
-        if isinstance(node, Lam):
-            b = go(node.body)
-            return node if b is node.body else Lam(b, node.hint)
-        if isinstance(node, App):
-            f, a = go(node.fn), go(node.arg)
-            return node if (f is node.fn and a is node.arg) else App(f, a)
-        if isinstance(node, Cont):
-            s = go(node.stack)
-            return node if s is node.stack else Cont(s)
-        if isinstance(node, Push):
-            top, rest = go(node.top), go(node.rest)
-            return node if (top is node.top and rest is node.rest) else Push(top, rest)
-        if isinstance(node, Process):
-            tm, st = go(node.term), go(node.stack)
-            return node if (tm is node.term and st is node.stack) else Process(tm, st)
-        return node
-
-    return go(t)
+    return subst_consts(t, {}, {alpha: pi})
 
 
 ### collectors used by hygiene checks
 
 def collect_constants(node: Node) -> set[str]:
     """Names of all term constants occurring anywhere in the node."""
-    out: set[str] = set()
-    todo: list[Node] = [node]
-    while todo:
-        n = todo.pop()
-        if not n.has_const:
-            continue
-        if isinstance(n, Const):
-            out.add(n.name)
-        elif isinstance(n, Lam):
-            todo.append(n.body)
-        elif isinstance(n, App):
-            todo.extend((n.fn, n.arg))
-        elif isinstance(n, Cont):
-            todo.append(n.stack)
-        elif isinstance(n, Push):
-            todo.extend((n.top, n.rest))
-        elif isinstance(n, Process):
-            todo.extend((n.term, n.stack))
-    return out
+    return _names(node, (Const,), lambda n: n.has_const)
 
 
 def collect_stack_constants(node: Node) -> set[str]:
     """Names of all stack constants occurring anywhere in the node."""
-    out: set[str] = set()
-    todo: list[Node] = [node]
-    while todo:
-        n = todo.pop()
-        if not n.has_stackname:
-            continue
-        if isinstance(n, Bottom):
-            out.add(n.name)
-        elif isinstance(n, Lam):
-            todo.append(n.body)
-        elif isinstance(n, App):
-            todo.extend((n.fn, n.arg))
-        elif isinstance(n, Cont):
-            todo.append(n.stack)
-        elif isinstance(n, Push):
-            todo.extend((n.top, n.rest))
-        elif isinstance(n, Process):
-            todo.extend((n.term, n.stack))
-    return out
+    return _names(node, (Bottom,), lambda n: n.has_stackname)
 
 
 ### convenience builders for named construction in code
@@ -646,31 +624,14 @@ def fv(name: str) -> FreeVar:
 def bind(name: str, body: Term, hint: Optional[str] = None) -> Lam:
     """Abstract the named free variable into a binder."""
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, FreeVar):
-            return Bound(depth) if t.name == name else t
+    def visit(t: Node, depth: int) -> Optional[Node]:
         if not t.has_free:
             return t
-        if isinstance(t, Lam):
-            b = go(t.body, depth + 1)
-            return t if b is t.body else Lam(b, t.hint)
-        if isinstance(t, App):
-            f, a = go(t.fn, depth), go(t.arg, depth)
-            return t if (f is t.fn and a is t.arg) else App(f, a)
-        if isinstance(t, Cont):
-            s = go_stack(t.stack, depth)
-            return t if s is t.stack else Cont(s)
-        return t
+        if isinstance(t, FreeVar):
+            return Bound(depth) if t.name == name else t
+        return None
 
-    def go_stack(s: Stack, depth: int) -> Stack:
-        if not s.has_free:
-            return s
-        if isinstance(s, Push):
-            top, rest = go(s.top, depth), go_stack(s.rest, depth)
-            return s if (top is s.top and rest is s.rest) else Push(top, rest)
-        return s
-
-    return Lam(go(body, 0), hint if hint is not None else name)
+    return Lam(_rewrite(body, visit), hint if hint is not None else name)
 
 
 def lam(names: str, body: Term) -> Term:
@@ -761,6 +722,10 @@ def random_stack(rng, registry: Registry, max_depth: int = 3,
 
 
 ### parser
+
+# #n builds n applications of SUCC and a run walks each of them, so a literal
+# is capped far above any written by hand; numeral() itself takes any n.
+MAX_NUMERAL_LITERAL = 100_000
 
 _TOKEN_SPEC = [
     ("KLB", "k["),
@@ -897,7 +862,13 @@ class _Parser:
         if kind == "HASH":
             self.lex.next()
             tok = self.lex.expect("NAT")
-            return numeral(int(tok[1]))
+            # lengths first: int() refuses a string of more than 4300 digits
+            digits = tok[1].lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_NUMERAL_LITERAL))
+                    or int(digits) > MAX_NUMERAL_LITERAL):
+                raise LamcParseError(f"numeral literal above #{MAX_NUMERAL_LITERAL}",
+                                     self.lex.text, pos)
+            return numeral(int(digits))
         if kind == "LAM":
             # a lambda as an atom only via parentheses; bare lambda handled in term()
             if optional:
@@ -957,29 +928,10 @@ def parse_process(text: str, registry: Registry, free_vars: Iterable[str] = ()) 
 
 ### printer
 
-def _names_in_tree(node: Node) -> set[str]:
-    out: set[str] = set()
-    todo: list[Node] = [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, (Const, FreeVar, Bottom)):
-            out.add(n.name)
-        elif isinstance(n, Lam):
-            todo.append(n.body)
-        elif isinstance(n, App):
-            todo.extend((n.fn, n.arg))
-        elif isinstance(n, Cont):
-            todo.append(n.stack)
-        elif isinstance(n, Push):
-            todo.extend((n.top, n.rest))
-        elif isinstance(n, Process):
-            todo.extend((n.term, n.stack))
-    return out
-
-
 class _Printer:
     def __init__(self, root: Node):
-        self.reserved = _names_in_tree(root)
+        self.reserved = _names(root, (Const, FreeVar, Bottom),
+                               lambda n: n.has_const or n.has_free or n.has_stackname)
 
     def fresh_name(self, hint: str, scope: tuple[str, ...]) -> str:
         if hint and hint not in self.reserved and hint not in scope:

@@ -363,3 +363,10 @@ def test_scheme_of_a_deeply_nested_term_is_an_error_not_a_traceback():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_of_a_huge_numeral_literal_is_an_error_not_a_hang(capsys):
+    rc, out, err = run_cli(capsys, "eval", "#1000000 * a0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: numeral literal above #100000 at line 1, column 1")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import subst_reference as ref
 from lamc.formula import builtin_formulae
 from lamc.game import FreshConstantAbelard, fresh_handle, play_g1
 from lamc.machine import Machine, MachineConfig
@@ -30,6 +31,7 @@ from lamc.syntax import (
     decode_numeral,
     numeral,
     parse_term,
+    process_to_text,
     random_closed_term,
     random_stack,
     subst_var,
@@ -323,6 +325,53 @@ def test_replay_rejects_open_replacements():
     open_term = parse_term("\\x. y", reg, free_vars=("y",))
     with pytest.raises(LamcError):
         replay_with_substitution(res, {0: (open_term, Bottom("alpha0"))})
+
+
+def test_replay_rejects_an_open_replacement_stack():
+    reg, res = figure_scheme()
+    open_stack = Push(parse_term("\\x. y", reg, free_vars=("y",)), Bottom("a0"))
+    with pytest.raises(LamcError, match="substituting an open stack for a stack constant"):
+        replay_with_substitution(res, {0: (Const("c_a"), Bottom("a0")),
+                                       1: (numeral(1), open_stack)})
+
+
+def schemes():
+    """The seven-line figure, the one-round toy and ten seeded scripted trees
+    that extract, each with its registry."""
+    out = [figure_scheme()]
+    reg = MachineConfig().build()
+    toy = parse_term("\\u. u #0 (\\n v. v)", reg)
+    out.append((reg, extract_scheme(toy, [4], LEQ, registry=reg)))
+    rng = random.Random(5)
+    while len(out) < 12:
+        k = rng.randint(1, 6)
+        parents = [0] + [rng.randrange(i + 1) for i in range(1, k)]
+        reg = MachineConfig().build()
+        mock = build_scripted_realizer(parents, [rng.randrange(4) for _ in parents],
+                                       rng.randint(0, k), reg)
+        res = extract_scheme(mock, [rng.randrange(4) for _ in parents], LEQ,
+                             registry=reg)
+        if res.ok:
+            out.append((reg, res))
+    return out
+
+
+def test_replay_agrees_with_the_sequential_reference():
+    # replacements are drawn from the scheme's own registry, so their terms
+    # and stacks mention other interaction constants and bottoms: constant j
+    # is rewritten by every later replacement and by no earlier one
+    for i, (reg, res) in enumerate(schemes()):
+        rng = random.Random(i)
+        count = len(res.lines)
+        for _ in range(50):
+            chosen = rng.sample(range(count), rng.randint(1, count))
+            replacements = {j: (random_closed_term(rng, reg, allow_cont=True),
+                                random_stack(rng, reg)) for j in chosen}
+            got = replay_with_substitution(res, replacements)
+            want = ref.replay_with_substitution(res, replacements)
+            assert got == want
+            assert [(process_to_text(a), process_to_text(b)) for a, b in got] == \
+                [(process_to_text(a), process_to_text(b)) for a, b in want]
 
 
 @pytest.mark.parametrize("trial", range(8))

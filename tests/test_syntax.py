@@ -1,13 +1,16 @@
 """Terms, parsing, printing, substitution, numerals."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subst_reference as ref
 from lamc.machine import MachineConfig
 from lamc.syntax import (
+    MAX_NUMERAL_LITERAL,
     App,
     Bottom,
     Bound,
@@ -20,7 +23,9 @@ from lamc.syntax import (
     Process,
     Push,
     Registry,
+    Stack,
     SUCC,
+    Term,
     ZERO,
     alpha_eq,
     app,
@@ -42,10 +47,12 @@ from lamc.syntax import (
     random_stack,
     stack_of,
     stack_to_text,
+    subst_bound0,
     subst_const,
     subst_stack_const,
     subst_var,
     term_to_text,
+    _Printer,
 )
 
 ### alpha equivalence
@@ -204,6 +211,18 @@ def test_ident_with_digits_and_primes(base_reg):
     assert parse_term("u'0", base_reg) == Const("u'0")
 
 
+def test_parse_caps_numeral_literals(base_reg):
+    # far above every literal written in the tests, fixtures and benchmark
+    assert MAX_NUMERAL_LITERAL == 100_000
+    assert decode_numeral(parse_term(f"#{MAX_NUMERAL_LITERAL}", base_reg)) == 100_000
+    assert decode_numeral(parse_term("#000000000000000000000000000012", base_reg)) == 12
+    for digits in (str(MAX_NUMERAL_LITERAL + 1), "9" * 5000):
+        with pytest.raises(LamcParseError) as err:
+            parse_term(f"c_a #{digits}", base_reg)
+        assert "numeral literal above #100000" in str(err.value)
+        assert err.value.col == 5
+
+
 ### printing
 
 def test_print_roundtrip_basics(base_reg):
@@ -295,6 +314,154 @@ def test_subst_other_stack_consts_untouched(base_reg):
 def test_subst_const_requires_closed(base_reg):
     with pytest.raises(LamcError):
         subst_const(Const("c_a"), "c_a", FreeVar("x"))
+
+
+### substitution against the recursive reference
+
+def random_inputs(seed):
+    """A seeded random term with varied binder hints, inert constant c_a,
+    free variable c_b and stack constants inside k[pi]; a closed term; a
+    stack."""
+    rng = random.Random(seed)
+    reg = MachineConfig(inert_consts=("c_a", "c_b")).build()
+    text = term_to_text(random_closed_term(rng, reg, max_depth=6, allow_cont=True))
+    t = parse_term(text, MachineConfig(inert_consts=("c_a",)).build(),
+                   free_vars=("c_b",))
+    u = random_closed_term(rng, reg, allow_cont=True)
+    return t, u, random_stack(rng, reg)
+
+
+def subterms(node):
+    """Every term in the tree, the ones under binders and in k[pi] too."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Term):
+            out.append(n)
+        if isinstance(n, Lam):
+            todo.append(n.body)
+        elif isinstance(n, App):
+            todo += (n.fn, n.arg)
+        elif isinstance(n, Cont):
+            todo.append(n.stack)
+        elif isinstance(n, Push):
+            todo += (n.top, n.rest)
+    return out
+
+
+def text(node):
+    if isinstance(node, Term):
+        return term_to_text(node)
+    if isinstance(node, Stack):
+        return stack_to_text(node)
+    return process_to_text(node)
+
+
+def assert_agrees(got, want, source):
+    assert got == want
+    assert text(got) == text(want)              # binder hints survive too
+    assert (got is source) == (want is source)  # untouched trees stay shared
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_substitution_agrees_with_the_recursive_reference(block):
+    for seed in range(100 * block, 100 * block + 100):
+        t, u, pi = random_inputs(seed)
+        for s in subterms(t):
+            assert_agrees(subst_bound0(s, u), ref.subst_bound0(s, u), s)
+        for x in ("c_b", "y"):
+            assert_agrees(subst_var(t, x, u), ref.subst_var(t, x, u), t)
+            assert_agrees(bind(x, t, "h"), ref.bind(x, t, "h"), t)
+        for node in (t, u, pi, Process(u, pi), Push(t, pi)):
+            for c in ("c_a", "c_b"):
+                assert_agrees(subst_const(node, c, u), ref.subst_const(node, c, u), node)
+            for alpha in ("a0", "a1", "a3"):
+                assert_agrees(subst_stack_const(node, alpha, pi),
+                              ref.subst_stack_const(node, alpha, pi), node)
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_name_fold_agrees_with_the_unpruned_collector(block):
+    for seed in range(100 * block, 100 * block + 100):
+        t, u, pi = random_inputs(seed)
+        for node in (t, Process(t, pi), Push(u, pi)):
+            assert _Printer(node).reserved == ref.names_in_tree(node)
+            assert collect_constants(node) == ref.names_in_tree(node, Const)
+            assert collect_stack_constants(node) == ref.names_in_tree(node, Bottom)
+
+
+### depth 10^4, at Python's default recursion limit
+
+DEEP = 10_000
+
+
+@pytest.fixture
+def flat():
+    """Call a function at Python's default recursion limit, which the CLI
+    runs at (the suite raises it). A RecursionError fails the test with a
+    one-line report: pytest's own report of a deep recursion compares the
+    locals of every frame, deep terms included, and takes minutes."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+
+    def call(fn, *args):
+        try:
+            return fn(*args)
+        except RecursionError:
+            pass
+        pytest.fail(f"{fn.__name__} recursed at depth {DEEP}", pytrace=False)
+
+    yield call
+    sys.setrecursionlimit(old)
+
+
+def left_spine(head, arg):
+    t = head
+    for _ in range(DEEP):
+        t = App(t, arg)
+    return t
+
+
+def binders(body):
+    for _ in range(DEEP):
+        body = Lam(body, "x")
+    return body
+
+
+def nested_conts(bottom):
+    """k[k[...k[bottom] . bottom ...] . bottom], DEEP continuations."""
+    s = bottom
+    for _ in range(DEEP):
+        s = Push(Cont(s), bottom)
+    return Cont(s)
+
+
+def test_substitution_on_a_deep_left_spine(flat):
+    u = numeral(2)
+    assert flat(subst_bound0, left_spine(Bound(0), Bound(1)), u) == left_spine(u, Bound(0))
+    assert flat(subst_var, left_spine(FreeVar("x"), ZERO), "x", u) == left_spine(u, ZERO)
+    assert flat(subst_const, left_spine(Const("c_a"), ZERO), "c_a", u) == left_spine(u, ZERO)
+    assert flat(bind, "x", left_spine(FreeVar("x"), ZERO)) == Lam(left_spine(Bound(0), ZERO))
+    assert flat(collect_constants, left_spine(Const("c_a"), Const("c_b"))) == {"c_a", "c_b"}
+
+
+def test_substitution_under_deep_binders(flat):
+    u = numeral(2)
+    assert flat(subst_bound0, binders(Bound(DEEP)), u) == binders(u)
+    assert flat(subst_var, binders(FreeVar("x")), "x", u) == binders(u)
+    assert flat(subst_const, binders(Const("c_a")), "c_a", u) == binders(u)
+    assert flat(bind, "x", binders(FreeVar("x"))) == Lam(binders(Bound(DEEP)))
+
+
+def test_substitution_in_deeply_nested_continuations(flat):
+    t = nested_conts(Bottom("a0"))
+    pi = Push(Const("c_a"), Bottom("a1"))
+    assert flat(subst_stack_const, t, "a0", pi) == nested_conts(pi)
+    assert flat(subst_const, nested_conts(pi), "c_a", ZERO) == \
+        nested_conts(Push(ZERO, Bottom("a1")))
+    assert flat(subst_bound0, t, ZERO) is t
+    assert flat(collect_stack_constants, nested_conts(pi)) == {"a1"}
+    assert flat(collect_constants, nested_conts(pi)) == {"c_a"}
 
 
 ### registry
