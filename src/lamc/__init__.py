@@ -54,6 +54,7 @@ from .machine import (
     install_fork,
     install_quote,
     run,
+    settle,
     thread,
 )
 from .formula import (
@@ -120,7 +121,7 @@ __all__ = [
     # machine
     "Machine", "MachineConfig", "Terminal", "Trace", "base_registry",
     "install_cc", "install_eq", "install_eq_nat", "install_fork",
-    "install_quote", "run", "thread",
+    "install_quote", "run", "settle", "thread",
     # formula
     "ArithFormula", "PrimRecFn", "TuringMachineTable", "builtin_formulae",
     "decode_table", "encode_table", "eval_fn", "halt_predicate",

@@ -29,12 +29,13 @@ from .game import (
     play_g1,
     play_g2,
 )
-from .machine import Machine, MachineConfig, Terminal, run
+from .machine import Machine, MachineConfig, Terminal, run, settle
 from .realizers import realizer_catalog, resolve_realizer
 from .scheme import build_scripted_realizer, extract_scheme
 from .syntax import (
     LamcError,
     Registry,
+    check_literal,
     parse_process,
     parse_term,
     process_to_text,
@@ -88,6 +89,11 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
         raise LamcError(f"{what} wants comma-separated integers, got {text!r}") from exc
 
 
+def _csv_literals(text: str, what: str) -> tuple[int, ...]:
+    """Numbers that become numerals on the machine, each capped like #n."""
+    return tuple(check_literal(n, what) for n in _csv_ints(text, what))
+
+
 def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -117,6 +123,11 @@ def cmd_eval(args) -> int:
     registry = _full_registry() if args.registry == "full" else _plain_registry()
     process = parse_process(args.process, registry)
     budget = args.steps if args.steps is not None else _steps_default(10_000)
+    if not (args.json or args.trace):
+        steps, last, terminal = settle(Machine(registry), process, budget=budget)
+        print(f"after {steps} steps: {process_to_text(last)}")
+        print(f"terminal: {terminal.describe()}")
+        return 0
     trace = run(Machine(registry), process, budget=budget)
     if args.json:
         print(_dumps({
@@ -124,12 +135,8 @@ def cmd_eval(args) -> int:
             "rules": trace.rules,
             "terminal": _terminal_json(trace.terminal),
         }))
-    elif args.trace:
-        print(trace.to_text())
     else:
-        print(f"after {len(trace.steps) - 1} steps: "
-              f"{process_to_text(trace.steps[-1])}")
-        print(f"terminal: {trace.terminal.describe()}")
+        print(trace.to_text())
     return 0
 
 
@@ -202,7 +209,7 @@ def cmd_match(args) -> int:
         if args.answers is None:
             raise LamcError("--abelard fresh wants --answers n1,n2,...")
         abelard = FreshConstantAbelard(registry,
-                                       _csv_ints(args.answers, "--answers"))
+                                       _csv_literals(args.answers, "--answers"))
     elif args.abelard == "random":
         abelard = RandomAbelard(registry, seed=args.seed)
     else:
@@ -216,7 +223,8 @@ def cmd_match(args) -> int:
         handle = script_handle
     else:
         handle = fresh_handle(registry)
-    leading = leading_flag if leading_flag is not None else script_leading
+    leading = (_csv_literals(args.leading, "--leading") if args.leading
+               else script_leading)
 
     if args.game == "g1":
         total = args.steps if args.steps is not None else _steps_default(1_000_000)
@@ -250,7 +258,7 @@ def cmd_scheme(args) -> int:
         subject = resolve_realizer(registry, args.realizer, table)
     else:
         raise LamcError("scheme wants --realizer NAME or --term TEXT")
-    answers = _csv_ints(args.answers, "--answers")
+    answers = _csv_literals(args.answers, "--answers")
     budget = args.steps if args.steps is not None else _steps_default(100_000)
     out = extract_scheme(subject, answers, phi, budget=budget,
                          registry=registry)

@@ -31,6 +31,7 @@ from .syntax import (
     Registry,
     Stack,
     Term,
+    check_literal,
     decode_numeral,
     fresh_constants,
     is_closed,
@@ -248,7 +249,8 @@ class InteractiveAbelard:
                 return None
             try:
                 n_text, u_text, pi_text = (part.strip() for part in line.split(",", 2))
-                return (int(n_text), parse_term(u_text, self._registry),
+                return (check_literal(int(n_text), "reply number"),
+                        parse_term(u_text, self._registry),
                         parse_stack(pi_text, self._registry))
             except (ValueError, LamcError) as exc:
                 print(f"could not read that reply: {exc}", file=self._out)
@@ -264,13 +266,14 @@ def load_abelard_script(source, registry: Registry):
             data = json.load(fh)
     else:
         data = source
-    leading = tuple(int(z) for z in data.get("leading", ()))
+    leading = tuple(check_literal(int(z), "leading number")
+                    for z in data.get("leading", ()))
     handle = None
     if "handle" in data:
         handle = (parse_term(data["handle"]["u"], registry),
                   parse_stack(data["handle"]["pi"], registry))
     replies = [
-        (int(r["n"]), parse_term(r["u"], registry),
+        (check_literal(int(r["n"]), "reply number"), parse_term(r["u"], registry),
          parse_stack(r["pi"], registry))
         for r in data.get("replies", ())
     ]

@@ -13,6 +13,7 @@ items), eq_nat (branch on equality of two literal numerals) and fork
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .syntax import (
@@ -294,6 +295,59 @@ def run(machine: Machine, p: Process, budget: int = 10_000,
         if idx >= budget:
             return Trace(steps, rules, Terminal("budget"))
     return Trace(steps, rules, Terminal("stuck"))
+
+
+def settle(machine: Machine, p: Process,
+           budget: int = 10_000) -> tuple[int, Process, Terminal]:
+    """Where run(machine, p, budget) ends, without its trace or seen dict:
+    (len(trace.steps) - 1, trace.steps[-1], trace.terminal).
+
+    Up to index budget a Brent tortoise (R. P. Brent, BIT 20, 1980), moved
+    to the current configuration whenever the distance to it reaches a power
+    of two, catches a repeat early and gives the period exactly. Otherwise
+    the configuration at index budget lies on every cycle whose entry is at
+    most budget, so at most budget more steps against it decide whether the
+    first repeat comes by the budget. So the search holds O(1) configurations
+    and makes at most 2 x budget steps. When it finds a period, a replay from
+    p recovers the entry with two walkers one period apart; they step
+    entry + period and entry times on the same machine, whose quote table
+    already holds every code they meet. A fork or other error past the
+    budget ends the search, since run() never steps there; codes of stacks
+    quoted past the budget stay in the machine's table.
+    """
+    if not is_closed(p):
+        raise LamcError("run wants a closed process")
+    steps = walk(machine, p)
+    last, _ = next(steps)
+    tortoise, gap, power, period = last, 0, 1, None
+    idx = 0
+    for idx, (last, _) in enumerate(islice(steps, budget), start=1):
+        gap += 1
+        if last == tortoise:
+            period = gap
+            break
+        if gap == power:
+            tortoise, gap, power = last, 0, 2 * power
+    else:
+        if idx < budget:
+            return idx, last, Terminal("stuck")
+        try:
+            for gap, (q, _) in enumerate(islice(steps, budget), start=1):
+                if q == last:
+                    period = gap
+                    break
+        except LamcError:
+            pass
+    if period is not None:
+        trail = walk(machine, p)
+        lead = islice(walk(machine, p), period, None)
+        for entry, ((q, _), (closing, _)) in enumerate(zip(trail, lead)):
+            if q == closing:
+                break
+        if entry + period <= budget:
+            return (entry + period, closing,
+                    Terminal("cycle", entry=entry, period=period))
+    return budget, last, Terminal("budget")
 
 
 def thread(machine: Machine, p: Process, max_nodes: int = 10_000) -> tuple[list[Process], bool]:

@@ -727,6 +727,14 @@ def random_stack(rng, registry: Registry, max_depth: int = 3,
 # is capped far above any written by hand; numeral() itself takes any n.
 MAX_NUMERAL_LITERAL = 100_000
 
+
+def check_literal(n: int, what: str) -> int:
+    """n itself, refused above MAX_NUMERAL_LITERAL: a number read from the
+    user that a match or an extraction turns into #n is capped like #n."""
+    if n > MAX_NUMERAL_LITERAL:
+        raise LamcError(f"{what} {n} is above #{MAX_NUMERAL_LITERAL}")
+    return n
+
 _TOKEN_SPEC = [
     ("KLB", "k["),
     ("LAM", "\\"),

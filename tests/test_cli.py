@@ -30,6 +30,21 @@ def test_eval_reports_a_cycle(capsys):
     assert "cycle(entry=1, period=2)" in out
 
 
+def test_eval_prints_the_configuration_that_closes_the_cycle(capsys):
+    """The repeat at step 2 equals step 0 up to binder hints; the line shows
+    step 2's own hints, at the default budget and at exactly 2 steps."""
+    for budget in ((), ("--steps", "2")):
+        rc, out, _ = run_cli(capsys, "eval", r"(\x. x x) (\y. y y) * a0",
+                             *budget)
+        assert rc == 0
+        assert out == ("after 2 steps: ((\\y. y y) (\\y. y y)) * a0\n"
+                       "terminal: cycle(entry=0, period=2)\n")
+    rc, out, _ = run_cli(capsys, "eval", r"(\x. x x) (\y. y y) * a0",
+                         "--steps", "1")
+    assert rc == 0
+    assert out.endswith("terminal: budget\n")
+
+
 def test_eval_trace_of_a_two_step_stuck_run(capsys):
     rc, out, _ = run_cli(capsys, "eval", r"(\x.x) (\x.x) * a0", "--trace")
     assert rc == 0
@@ -342,10 +357,11 @@ def test_module_entry_point_runs():
     assert "terminal: stuck" in proc.stdout
 
 
-def run_module(*argv):
+def run_module(*argv, stdin=None, timeout=None):
     """The CLI in a fresh interpreter, at Python's default recursion limit."""
     return subprocess.run([sys.executable, "-m", "lamc.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, input=stdin,
+                          timeout=timeout)
 
 
 def test_eval_of_deeply_nested_parentheses_is_an_error_not_a_traceback():
@@ -370,3 +386,69 @@ def test_eval_of_a_huge_numeral_literal_is_an_error_not_a_hang(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: numeral literal above #100000 at line 1, column 1")
+
+
+### numbers that would become huge numerals
+
+HUGE = 1_000_000_000
+HALT_MATCH = ("match", "--game", "g1", "--realizer", "t_halt",
+              "--formula", "halt")
+
+
+def assert_refused(proc, what):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {what} {HUGE} is above #100000\n"
+
+
+def halt_loop_copy(tmp_path, edit):
+    data = json.loads(Path(HALT_LOOP).read_text())
+    edit(data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_match_refuses_a_huge_leading_flag_instead_of_hanging():
+    proc = run_module(*HALT_MATCH, "--leading", str(HUGE),
+                      "--abelard", HALT_LOOP, timeout=30)
+    assert_refused(proc, "--leading")
+
+
+def test_match_refuses_a_huge_leading_number_in_a_script(tmp_path):
+    script = halt_loop_copy(tmp_path, lambda d: d.update(leading=[HUGE]))
+    proc = run_module(*HALT_MATCH, "--abelard", script, timeout=30)
+    assert_refused(proc, "leading number")
+
+
+def test_match_refuses_a_huge_reply_number_in_a_script(tmp_path):
+    script = halt_loop_copy(tmp_path,
+                            lambda d: d["replies"][0].update(n=HUGE))
+    proc = run_module(*HALT_MATCH, "--abelard", script, timeout=30)
+    assert_refused(proc, "reply number")
+
+
+def test_match_asks_again_after_a_huge_interactive_reply():
+    proc = run_module("match", "--game", "g1", "--realizer", "t_phi_leq",
+                      "--formula", "leq", "--abelard", "interactive",
+                      stdin=f"{HUGE}, c_a, a1\n2, c_a, a1\n", timeout=30)
+    assert proc.returncode == 0
+    assert (f"could not read that reply: reply number {HUGE} is above "
+            "#100000") in proc.stdout
+    assert "verdict: EloiseWin" in proc.stdout
+
+
+def test_huge_answers_are_refused(capsys):
+    for argv in (("match", "--game", "g1", "--realizer", "t_leq",
+                  "--formula", "leq", "--abelard", "fresh"),
+                 ("scheme", "--realizer", "scheme_demo", "--formula", "phi4")):
+        rc, out, err = run_cli(capsys, *argv, "--answers", f"0,{HUGE}")
+        assert (rc, out) == (2, "")
+        assert err == f"error: --answers {HUGE} is above #100000\n"
+
+
+def test_negative_match_numbers_still_exit_2(capsys):
+    rc, out, err = run_cli(capsys, *HALT_MATCH, "--leading", "-1",
+                           "--abelard", HALT_LOOP)
+    assert (rc, out) == (2, "")
+    assert err == "error: numeral wants a natural, got -1\n"
