@@ -47,15 +47,8 @@ from .machine import (
     MachineConfig,
     Terminal,
     Trace,
-    base_registry,
-    install_cc,
-    install_eq,
-    install_eq_nat,
-    install_fork,
-    install_quote,
     run,
     settle,
-    thread,
 )
 from .formula import (
     ArithFormula,
@@ -83,7 +76,6 @@ from .game import (
     ScriptedAbelard,
     blind_box_eloise,
     check_strategy,
-    detect_move,
     fresh_handle,
     load_abelard_script,
     minimax_g0_abelard,
@@ -119,9 +111,7 @@ __all__ = [
     "process_to_text", "stack_to_text", "subst_const",
     "subst_stack_const", "subst_var", "term_to_text",
     # machine
-    "Machine", "MachineConfig", "Terminal", "Trace", "base_registry",
-    "install_cc", "install_eq", "install_eq_nat", "install_fork",
-    "install_quote", "run", "settle", "thread",
+    "Machine", "MachineConfig", "Terminal", "Trace", "run", "settle",
     # formula
     "ArithFormula", "PrimRecFn", "TuringMachineTable", "builtin_formulae",
     "decode_table", "encode_table", "eval_fn", "halt_predicate",
@@ -130,7 +120,7 @@ __all__ = [
     # game
     "FreshConstantAbelard", "G0Outcome", "History", "HistoryEntry",
     "InteractiveAbelard", "MatchOutcome", "MoveRecord", "RandomAbelard",
-    "ScriptedAbelard", "blind_box_eloise", "check_strategy", "detect_move",
+    "ScriptedAbelard", "blind_box_eloise", "check_strategy",
     "fresh_handle", "load_abelard_script", "minimax_g0_abelard",
     "play_g0", "play_g1", "play_g2", "scripted_g0_abelard",
     "scripted_g0_eloise", "transcript_to_script",

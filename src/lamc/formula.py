@@ -468,8 +468,11 @@ def truth_oracle_g0(phi: ArithFormula, bound: int,
 
     For every history, winning the backtracking game with box-bounded moves
     equals plainly winning the alternating evaluation from some recorded
-    position, so that is what gets evaluated.
+    position, so that is what gets evaluated. A bound below 0 is an error:
+    the empty box would make every universal round vacuously won.
     """
+    if bound < 0:
+        raise LamcError(f"the search bound must be at least 0, got {bound}")
     if len(zs) != phi.leading_foralls:
         raise LamcError(
             f"formula {phi.name} wants {phi.leading_foralls} leading values, got {len(zs)}")

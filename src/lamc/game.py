@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .formula import ArithFormula, truth_oracle_g0
 from .machine import Machine, walk
@@ -116,34 +116,6 @@ def play_shape(p: Process) -> Optional[tuple[tuple[Term, Stack], int, Term]]:
     if m is None:
         return None
     return (p.term, s.rest.rest), m, s.rest.top
-
-
-@dataclass(frozen=True)
-class WinShape:
-    entry_index: int
-
-
-@dataclass(frozen=True)
-class PlayShape:
-    entry_index: int
-    m: int
-    t: Term
-
-
-MoveEvent = Union[WinShape, PlayShape]
-
-
-def detect_move(p: Process, history: History, h: int) -> Optional[MoveEvent]:
-    """Shape-only detection: a win shape on any complete entry beats a play
-    shape; the payoff gate is the referee's job, not this function's."""
-    final = history.final_matches(p)
-    if final:
-        return WinShape(final[0])
-    hit = history.open_match(p)
-    if hit is None:
-        return None
-    idx, m, t = hit
-    return PlayShape(idx, m, t)
 
 
 ### adversaries for the machine games
@@ -344,8 +316,6 @@ class MatchOutcome:
 def _check_match_inputs(registry: Registry, realizer: Term, phi: ArithFormula,
                         handle: tuple[Term, Stack],
                         leading: Sequence[int]) -> None:
-    if registry.is_instruction("fork"):
-        raise LamcError("matches want a deterministic machine: fork installed")
     if not is_closed(realizer):
         raise LamcError("realizer must be closed")
     if not is_proof_like(realizer):
@@ -675,6 +645,8 @@ def blind_box_eloise(phi: ArithFormula, bound: int) -> G0Eloise:
     walking each one down from the deepest already-recorded prefix. The box is
     one wider than the opponent's range, matching truth_oracle_g0's rule that
     the existential player may always answer a challenge with its successor."""
+    if bound < 0:
+        raise LamcError(f"the search bound must be at least 0, got {bound}")
     h = phi.rounds
     state = {"index": 0}
     cap = bound + 1

@@ -1,4 +1,4 @@
-"""The stack machine: step rules, deterministic runs, thread exploration.
+"""The stack machine: step rules and deterministic runs.
 
 A configuration is a closed term facing a stack. The four structural rules
 are Push (unfold an application), Grab (a binder takes the top item),
@@ -6,15 +6,17 @@ Save (cc packages the current stack as a continuation constant) and
 Restore (a continuation constant reinstates its stack). Extra instructions
 are installed in the registry: quote (codes the current stack as a numeral,
 interned first-seen per machine), eq (branch on alpha equality of two stack
-items), eq_nat (branch on equality of two literal numerals) and fork
-(nondeterministic split, which deterministic runs refuse).
+items) and eq_nat (branch on equality of two literal numerals). Every rule
+has at most one successor, so a run is a sequence: walk() yields it lazily,
+and run() and settle() decide where it ends.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     App,
@@ -38,8 +40,7 @@ from .syntax import (
 
 ### step results
 
-StepResult = Union[None, Process, tuple[Process, Process]]
-InstructionRule = Callable[["Machine", Stack], StepResult]
+StepResult = Optional[Process]
 
 RULE_PUSH = "Push"
 RULE_GRAB = "Grab"
@@ -48,7 +49,6 @@ RULE_RESTORE = "Restore"
 RULE_QUOTE = "Quote"
 RULE_EQ = "Eq"
 RULE_EQ_NAT = "EqNat"
-RULE_FORK = "Fork"
 
 
 class Machine:
@@ -89,10 +89,6 @@ class Machine:
         # Bound / FreeVar heads never fire (configurations are closed in practice)
         return None, None
 
-    def step(self, p: Process) -> StepResult:
-        """One transition: None when stuck, a pair when fork fires."""
-        return self.step_labeled(p)[0]
-
 
 ### built-in instruction rules
 
@@ -131,15 +127,6 @@ def step_eq_nat(machine: Machine, s: Stack) -> StepResult:
     return Process(u if dm == dn else v, rest)
 
 
-def step_fork(machine: Machine, s: Stack) -> StepResult:
-    """fork * t0.t1.pi  >  both t0 * pi and t1 * pi."""
-    popped = pop_items(s, 2)
-    if popped is None:
-        return None
-    (t0, t1), rest = popped
-    return (Process(t0, rest), Process(t1, rest))
-
-
 ### registry construction
 
 @dataclass(frozen=True)
@@ -149,7 +136,6 @@ class MachineConfig:
     quote: bool = False
     eq: bool = False
     eq_nat: bool = False
-    fork: bool = False
     stack_consts: tuple[str, ...] = ("a0", "a1", "a2", "a3")
     inert_consts: tuple[str, ...] = ()
 
@@ -159,42 +145,16 @@ class MachineConfig:
             reg.declare_stack(name)
         for name in self.inert_consts:
             reg.declare_inert(name)
-        install_cc(reg)
+        reg.install_instruction("cc", _rule_save, label=RULE_SAVE)
         if self.quote:
-            install_quote(reg)
+            reg.install_instruction("quote", step_quote, quote_like=True,
+                                    label=RULE_QUOTE)
         if self.eq:
-            install_eq(reg)
+            reg.install_instruction("eq", step_eq, quote_like=True,
+                                    label=RULE_EQ)
         if self.eq_nat:
-            install_eq_nat(reg)
-        if self.fork:
-            install_fork(reg)
+            reg.install_instruction("eq_nat", step_eq_nat, label=RULE_EQ_NAT)
         return reg
-
-
-def install_cc(reg: Registry) -> None:
-    reg.install_instruction("cc", _rule_save, label=RULE_SAVE)
-
-
-def install_quote(reg: Registry) -> None:
-    reg.install_instruction("quote", step_quote, quote_like=True, label=RULE_QUOTE)
-
-
-def install_eq(reg: Registry) -> None:
-    reg.install_instruction("eq", step_eq, quote_like=True, label=RULE_EQ)
-
-
-def install_eq_nat(reg: Registry) -> None:
-    reg.install_instruction("eq_nat", step_eq_nat, label=RULE_EQ_NAT)
-
-
-def install_fork(reg: Registry) -> None:
-    reg.install_instruction("fork", step_fork, label=RULE_FORK)
-
-
-def base_registry(quote: bool = False, eq: bool = False, eq_nat: bool = False,
-                  fork: bool = False) -> Registry:
-    """Registry with cc, the default stack constants a0..a3, and chosen extras."""
-    return MachineConfig(quote=quote, eq=eq, eq_nat=eq_nat, fork=fork).build()
 
 
 ### deterministic runs
@@ -257,16 +217,14 @@ class Trace:
 def walk(machine: Machine, p: Process) -> Iterator[tuple[Process, Optional[str]]]:
     """The deterministic run of p, lazily: each configuration with the rule
     that reached it, starting with (p, None) and ending when the machine is
-    stuck. A step is made only when the next configuration is asked for; a
-    fork step is an error. Budgets, cycles and move shapes are the caller's."""
+    stuck. A step is made only when the next configuration is asked for.
+    Budgets, cycles and move shapes are the caller's."""
     rule: Optional[str] = None
     while True:
         yield p, rule
         out, rule = machine.step_labeled(p)
         if out is None:
             return
-        if isinstance(out, tuple):
-            raise LamcError("fork fired during a deterministic run")
         p = out
 
 
@@ -275,7 +233,8 @@ def run(machine: Machine, p: Process, budget: int = 10_000,
     """Drive p deterministically until stuck, cycling, out of budget, or watched.
 
     Watchers see every configuration including the initial one; the first hit
-    stops the run. A fork step is an error here; use thread() to explore.
+    stops the run. The budget is checked after the cycle test on each
+    configuration, so a budget below 0 stops at index 0 like 0 does.
     """
     if not is_closed(p):
         raise LamcError("run wants a closed process")
@@ -311,12 +270,15 @@ def settle(machine: Machine, p: Process,
     and makes at most 2 x budget steps. When it finds a period, a replay from
     p recovers the entry with two walkers one period apart; they step
     entry + period and entry times on the same machine, whose quote table
-    already holds every code they meet. A fork or other error past the
-    budget ends the search, since run() never steps there; codes of stacks
-    quoted past the budget stay in the machine's table.
+    already holds every code they meet. An error that an installed rule
+    raises past the budget ends the search, since run() never steps there;
+    codes of stacks quoted past the budget stay in the machine's table. A
+    budget below 0 acts as 0, where run() stops too; one above sys.maxsize
+    acts as sys.maxsize, which no run reaches.
     """
     if not is_closed(p):
         raise LamcError("run wants a closed process")
+    budget = min(max(budget, 0), sys.maxsize)
     steps = walk(machine, p)
     last, _ = next(steps)
     tortoise, gap, power, period = last, 0, 1, None
@@ -348,26 +310,3 @@ def settle(machine: Machine, p: Process,
             return (entry + period, closing,
                     Terminal("cycle", entry=entry, period=period))
     return budget, last, Terminal("budget")
-
-
-def thread(machine: Machine, p: Process, max_nodes: int = 10_000) -> tuple[list[Process], bool]:
-    """Visited set of p (forks followed both ways), and whether it is complete."""
-    seen: set[Process] = set()
-    order: list[Process] = []
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        if q in seen:
-            continue
-        if len(seen) >= max_nodes:
-            return order, False
-        seen.add(q)
-        order.append(q)
-        out = machine.step(q)
-        if out is None:
-            continue
-        if isinstance(out, tuple):
-            frontier.extend(out)
-        else:
-            frontier.append(out)
-    return order, True

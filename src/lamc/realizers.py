@@ -50,27 +50,11 @@ from .syntax import (
 IDENT: Term = Lam(Bound(0), "x")
 SELF_APP: Term = Lam(App(Bound(0), Bound(0)), "x")
 SELF_APP_GROW: Term = Lam(App(App(Bound(0), Bound(0)), IDENT), "x")
-PAIR: Term = Lam(Lam(Lam(App(App(Bound(0), Bound(2)), Bound(1)), "f"), "y"), "x")
-FIRST: Term = Lam(App(Bound(0), Lam(Lam(Bound(1), "y"), "x")), "p")
-SECOND: Term = Lam(App(Bound(0), Lam(Lam(Bound(0), "y"), "x")), "p")
 
 
 def is_proof_like(t: Term) -> bool:
     """No captured stacks anywhere in the term."""
     return not t.has_stackname
-
-
-def basic_terms() -> dict[str, Term]:
-    return {
-        "ident": IDENT,
-        "self_app": SELF_APP,
-        "self_app_grow": SELF_APP_GROW,
-        "zero": numeral(0),
-        "succ": SUCC,
-        "pair": PAIR,
-        "first": FIRST,
-        "second": SECOND,
-    }
 
 
 def identity_like_family(registry: Registry) -> dict[str, Term]:

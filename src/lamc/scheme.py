@@ -12,6 +12,7 @@ code-inspecting instructions cannot tell a fresh constant from anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .formula import ArithFormula
@@ -261,8 +262,6 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
     if registry.has_quote_like:
         raise LamcError("extraction wants a registry without code-inspecting "
                         "instructions: they break substitution replay")
-    if registry.is_instruction("fork"):
-        raise LamcError("extraction wants a deterministic machine: fork installed")
     if not is_closed(t0):
         raise LamcError("the subject term must be closed")
     if phi.leading_foralls:
@@ -406,13 +405,9 @@ def verify_replay(registry: Registry, scheme: ThreadScheme,
     machine = Machine(registry)
     for (start, end), line in zip(replay_with_substitution(scheme, replacements),
                                   scheme.lines):
-        p = start
-        for _ in range(len(line.steps) - 1):
-            nxt = machine.step(p)
-            if nxt is None or isinstance(nxt, tuple):
-                return False
-            p = nxt
-        if p != end:
+        reached = next(islice(walk(machine, start), len(line.steps) - 1, None),
+                       None)
+        if reached is None or reached[0] != end:
             return False
     return True
 

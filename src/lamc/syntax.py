@@ -11,7 +11,7 @@ application chain, not the beta normal form).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 ### tags used in hashes so different node kinds never collide
 

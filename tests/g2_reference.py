@@ -9,6 +9,7 @@ same outcome.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from lamc.formula import ArithFormula
@@ -19,12 +20,18 @@ from lamc.game import (
     MatchOutcome,
     MoveContext,
     MoveRecord,
-    PlayShape,
     _check_match_inputs,
     _initial_process,
 )
 from lamc.machine import Machine
-from lamc.syntax import LamcError, Process, Push, Registry, Stack, Term, numeral
+from lamc.syntax import Process, Push, Registry, Stack, Term, numeral
+
+
+@dataclass(frozen=True)
+class PlayShape:
+    entry_index: int
+    m: int
+    t: Term
 
 
 class _Thread:
@@ -45,9 +52,6 @@ class _Thread:
             if nxt is None:
                 self.alive = False
                 break
-            if isinstance(nxt, tuple):
-                raise LamcError(
-                    "matches want a deterministic machine: fork fired")
             steps += 1
             if nxt in self._seen:
                 self.alive = False

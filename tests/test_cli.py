@@ -452,3 +452,37 @@ def test_negative_match_numbers_still_exit_2(capsys):
                            "--abelard", HALT_LOOP)
     assert (rc, out) == (2, "")
     assert err == "error: numeral wants a natural, got -1\n"
+
+
+def test_eval_text_and_json_agree_on_out_of_range_budgets(capsys):
+    """Budgets below 0 stop at step 0 and one past sys.maxsize never binds,
+    in text mode as in --json."""
+    for process, budget, kind in ((r"(\x. x) * a0", "-1", "budget"),
+                                  (r"(\x. x) * a0", "-3", "budget"),
+                                  (r"(\x. x) * a0", str(10**20), "stuck"),
+                                  (r"(\x. x x) (\y. y y) * a0", str(10**20),
+                                   "cycle")):
+        rc, out, err = run_cli(capsys, "eval", process, "--steps", budget)
+        assert (rc, err) == (0, "")
+        rc, js, err = run_cli(capsys, "eval", process, "--steps", budget,
+                              "--json")
+        assert (rc, err) == (0, "")
+        payload = json.loads(js)
+        assert payload["terminal"]["kind"] == kind
+        steps = len(payload["steps"]) - 1
+        assert out == (f"after {steps} steps: {payload['steps'][-1]}\n"
+                       f"terminal: {payload['terminal']['kind']}"
+                       + ("(entry=0, period=2)" if kind == "cycle" else "")
+                       + "\n")
+
+
+def test_negative_bound_is_an_error_not_a_win(capsys):
+    """The empty box made every formula with a universal round a win."""
+    for argv in (("oracle",), ("match", "--game", "g0")):
+        rc, out, err = run_cli(capsys, *argv, "--formula", "never",
+                               "--formula-file", EXTRA, "--bound", "-1")
+        assert (rc, out) == (2, "")
+        assert err == "error: the search bound must be at least 0, got -1\n"
+    rc, out, _ = run_cli(capsys, "oracle", "--formula", "never",
+                         "--formula-file", EXTRA, "--bound", "0")
+    assert (rc, out.splitlines()[0]) == (0, "lose")

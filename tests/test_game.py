@@ -21,13 +21,10 @@ from lamc.game import (
     HistoryEntry,
     InteractiveAbelard,
     MoveContext,
-    PlayShape,
     RandomAbelard,
     ScriptedAbelard,
-    WinShape,
     blind_box_eloise,
     check_strategy,
-    detect_move,
     fresh_handle,
     load_abelard_script,
     minimax_g0_abelard,
@@ -98,22 +95,32 @@ def test_history_entry_validation():
         h.append(HistoryEntry((1, 2), (3, 4), IDENT, Bottom("a0")))
 
 
+def detect(p, h):
+    """The referees' order of lookups: a win shape on any complete entry
+    beats a play shape on an incomplete one."""
+    final = h.final_matches(p)
+    if final:
+        return ("win", final[0])
+    hit = h.open_match(p)
+    return None if hit is None else ("play", *hit)
+
+
 def test_detect_win_on_complete_entry():
     h = History(1)
     h.append(HistoryEntry((), (), Const("c_a"), Bottom("a0")))
     h.append(HistoryEntry((3,), (1,), Const("c_b"), Bottom("a1")))
-    ev = detect_move(Process(Const("c_b"), Bottom("a1")), h, 1)
-    assert ev == WinShape(1)
+    ev = detect(Process(Const("c_b"), Bottom("a1")), h)
+    assert ev == ("win", 1)
     # the root entry is incomplete, so its bare shape is not a win
-    assert detect_move(Process(Const("c_a"), Bottom("a0")), h, 1) is None
+    assert detect(Process(Const("c_a"), Bottom("a0")), h) is None
 
 
 def test_detect_play_on_open_entry():
     h = History(2)
     h.append(HistoryEntry((), (), Const("c_a"), Bottom("a0")))
     p = Process(Const("c_a"), Push(numeral(5), Push(IDENT, Bottom("a0"))))
-    ev = detect_move(p, h, 2)
-    assert ev == PlayShape(0, 5, IDENT)
+    ev = detect(p, h)
+    assert ev == ("play", 0, 5, IDENT)
 
 
 def test_detect_needs_literal_numeral_and_depth():
@@ -122,10 +129,10 @@ def test_detect_needs_literal_numeral_and_depth():
     # computed-but-not-literal number on top: no move
     fake = App(IDENT, numeral(5))
     p = Process(Const("c_a"), Push(fake, Push(IDENT, Bottom("a0"))))
-    assert detect_move(p, h, 1) is None
+    assert detect(p, h) is None
     # only one pushed item: no move
     p = Process(Const("c_a"), Push(numeral(5), Bottom("a0")))
-    assert detect_move(p, h, 1) is None
+    assert detect(p, h) is None
 
 
 def test_detect_win_beats_play():
@@ -136,7 +143,7 @@ def test_detect_win_beats_play():
     h.append(HistoryEntry((0,), (0,), Const("c_a"), stack))
     p = Process(Const("c_a"), stack)
     # p is exactly entry 1 (complete) and also entry 0 extended by 2
-    assert detect_move(p, h, 1) == WinShape(1)
+    assert detect(p, h) == ("win", 1)
 
 
 def test_detect_earliest_entry_wins_ties():
@@ -144,7 +151,7 @@ def test_detect_earliest_entry_wins_ties():
     h.append(HistoryEntry((), (), Const("c_a"), Bottom("a0")))
     h.append(HistoryEntry((1,), (1,), Const("c_a"), Bottom("a0")))
     p = Process(Const("c_a"), Push(numeral(0), Push(IDENT, Bottom("a0"))))
-    assert detect_move(p, h, 2) == PlayShape(0, 0, IDENT)
+    assert detect(p, h) == ("play", 0, 0, IDENT)
 
 
 ### the abstract game
@@ -277,9 +284,6 @@ def test_g1_rejects_bad_inputs():
         play_g1(reg, IDENT, HALT, handle, silent)
     with pytest.raises(LamcError):  # leading block mismatch, other direction
         play_g1(reg, IDENT, LEQ, handle, silent, leading=(1,))
-    forked = MachineConfig(fork=True).build()
-    with pytest.raises(LamcError):  # nondeterministic machine
-        play_g1(forked, IDENT, LEQ, (Const("c0"), Bottom("a0")), silent)
 
 
 ### single-thread matches: the comparison realizer
@@ -545,7 +549,7 @@ def test_g2_move_records_carry_thread_references():
                   ScriptedAbelard(wild_script(reg)))
     assert out.moves[0].thread == 0
     fired_config = out.segments[0][out.moves[0].config][0]
-    assert detect_move(fired_config, out.history, LEQ.rounds) is not None
+    assert detect(fired_config, out.history) is not None
 
 
 def test_g1_wins_replay_to_g2_wins():

@@ -1,4 +1,4 @@
-"""Machine steps, runs, threads, extra instructions, substitutivity."""
+"""Machine steps, runs, extra instructions, substitutivity."""
 
 import random
 
@@ -12,9 +12,7 @@ from lamc.machine import (
     RULE_QUOTE,
     RULE_RESTORE,
     RULE_SAVE,
-    base_registry,
     run,
-    thread,
     walk,
 )
 from lamc.syntax import (
@@ -38,7 +36,12 @@ from lamc.syntax import (
 
 
 def mk(reg=None):
-    return Machine(reg if reg is not None else base_registry())
+    return Machine(reg if reg is not None else MachineConfig().build())
+
+
+def step(m, p):
+    """One transition: the next configuration, or None when stuck."""
+    return m.step_labeled(p)[0]
 
 
 ### the four structural rules
@@ -46,28 +49,28 @@ def mk(reg=None):
 def test_push_rule():
     m = mk()
     p = parse_process("(\\x. x) (\\y. y) * a0", m.registry)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\x. x) * (\\y. y) . a0", m.registry)
 
 
 def test_grab_rule():
     m = mk()
     p = parse_process("(\\x. x x) * (\\y. y) . a0", m.registry)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\y. y) (\\y. y) * a0", m.registry)
 
 
 def test_save_rule():
     m = mk()
     p = parse_process("cc * (\\x. x) . a0", m.registry)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\x. x) * k[a0] . a0", m.registry)
 
 
 def test_restore_rule():
     m = mk()
     p = parse_process("k[(\\x. x) . a0] * (\\y. y y) . a1", m.registry)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\y. y y) * (\\x. x) . a0", m.registry)
 
 
@@ -77,7 +80,7 @@ def test_stuck_heads():
         reg = MachineConfig(inert_consts=("c",)).build()
         mm = Machine(reg)
         p = parse_process(text, reg)
-        assert mm.step(p) is None
+        assert step(mm, p) is None
 
 
 ### frozen small traces
@@ -158,7 +161,7 @@ def test_run_requires_closed_process():
 ### walk: the one stepping loop
 
 def test_walk_yields_the_start_then_each_step_until_stuck():
-    reg = base_registry()
+    reg = MachineConfig().build()
     p = parse_process("(\\x. x) (\\y. y) * a0", reg)
     assert list(walk(Machine(reg), p)) == [
         (p, None),
@@ -168,20 +171,12 @@ def test_walk_yields_the_start_then_each_step_until_stuck():
 
 
 def test_walk_steps_only_when_asked():
-    reg = base_registry(quote=True)
+    reg = MachineConfig(quote=True).build()
     m = Machine(reg)
     configs = walk(m, parse_process("quote * (\\x. x) . a0", reg))
     next(configs)
     assert m.quote_code(parse_stack("a1", reg)) == 0   # nothing quoted yet
     assert next(configs) == (parse_process("(\\x. x) * #1 . a0", reg), RULE_QUOTE)
-
-
-def test_walk_refuses_fork():
-    reg = base_registry(fork=True)
-    configs = walk(Machine(reg), parse_process("fork * (\\x. x) . (\\y. y) . a0", reg))
-    next(configs)
-    with pytest.raises(LamcError, match="fork fired during a deterministic run"):
-        next(configs)
 
 
 ### continuations save and restore
@@ -201,107 +196,61 @@ def test_cc_discards_and_restores():
 ### quote
 
 def test_quote_codes_are_interned_first_seen():
-    reg = base_registry(quote=True)
+    reg = MachineConfig(quote=True).build()
     m = Machine(reg)
     p0 = parse_process("quote * (\\x. x) . a0", reg)
-    q0 = m.step(p0)
+    q0 = step(m, p0)
     assert q0 == parse_process("(\\x. x) * #0 . a0", reg)
     p1 = parse_process("quote * (\\x. x) . (\\y. y) . a0", reg)
-    q1 = m.step(p1)
+    q1 = step(m, p1)
     assert q1 == parse_process("(\\x. x) * #1 . (\\y. y) . a0", reg)
     # same stack again, same code
-    assert m.step(p0) == q0
+    assert step(m, p0) == q0
     # a fresh machine starts over
-    assert Machine(reg).step(p1) == parse_process("(\\x. x) * #0 . (\\y. y) . a0", reg)
+    assert step(Machine(reg), p1) == parse_process("(\\x. x) * #0 . (\\y. y) . a0", reg)
 
 
 def test_quote_needs_an_argument():
-    reg = base_registry(quote=True)
+    reg = MachineConfig(quote=True).build()
     m = Machine(reg)
-    assert m.step(parse_process("quote * a0", reg)) is None
+    assert step(m, parse_process("quote * a0", reg)) is None
 
 
 ### eq and eq_nat
 
 def test_eq_branches_on_alpha_equality():
-    reg = base_registry(eq=True)
+    reg = MachineConfig(eq=True).build()
     m = Machine(reg)
     p = parse_process("eq * (\\x. x) . (\\y. y) . #1 . #2 . a0", reg)
-    assert m.step(p) == parse_process("#1 * a0", reg)
+    assert step(m, p) == parse_process("#1 * a0", reg)
     p = parse_process("eq * (\\x. x) . (\\y. y y) . #1 . #2 . a0", reg)
-    assert m.step(p) == parse_process("#2 * a0", reg)
+    assert step(m, p) == parse_process("#2 * a0", reg)
 
 
 def test_eq_nat_branches_on_numeral_value():
-    reg = base_registry(eq_nat=True)
+    reg = MachineConfig(eq_nat=True).build()
     m = Machine(reg)
     p = parse_process("eq_nat * #3 . #3 . cc . eq_nat . a0", reg)
-    assert m.step(p) == parse_process("cc * a0", reg)
+    assert step(m, p) == parse_process("cc * a0", reg)
     p = parse_process("eq_nat * #3 . #4 . cc . eq_nat . a0", reg)
-    assert m.step(p) == parse_process("eq_nat * a0", reg)
+    assert step(m, p) == parse_process("eq_nat * a0", reg)
 
 
 def test_eq_nat_sticks_on_non_numerals():
-    reg = base_registry(eq_nat=True)
+    reg = MachineConfig(eq_nat=True).build()
     m = Machine(reg)
     p = parse_process("eq_nat * (\\x. x) . #3 . cc . cc . a0", reg)
-    assert m.step(p) is None
+    assert step(m, p) is None
     # beta-equivalent but not literal: still refused
     p = parse_process("eq_nat * (\\x f. f x) . #1 . cc . cc . a0", reg)
-    assert m.step(p) is None
+    assert step(m, p) is None
 
 
 def test_eq_and_eq_nat_need_four_items():
-    reg = base_registry(eq=True, eq_nat=True)
+    reg = MachineConfig(eq=True, eq_nat=True).build()
     m = Machine(reg)
-    assert m.step(parse_process("eq * #1 . #1 . cc . a0", reg)) is None
-    assert m.step(parse_process("eq_nat * #1 . #1 . cc . a0", reg)) is None
-
-
-### fork
-
-def test_fork_steps_to_a_pair():
-    reg = base_registry(fork=True)
-    m = Machine(reg)
-    p = parse_process("fork * (\\x. x) . (\\y. y y) . a0", reg)
-    out = m.step(p)
-    assert isinstance(out, tuple)
-    assert out[0] == parse_process("(\\x. x) * a0", reg)
-    assert out[1] == parse_process("(\\y. y y) * a0", reg)
-
-
-def test_run_refuses_fork():
-    reg = base_registry(fork=True)
-    m = Machine(reg)
-    p = parse_process("fork * (\\x. x) . (\\y. y) . a0", reg)
-    with pytest.raises(LamcError):
-        run(m, p, budget=10)
-
-
-def test_thread_explores_both_fork_branches():
-    reg = base_registry(fork=True)
-    m = Machine(reg)
-    p = parse_process("fork * (\\x. x) . (\\y. y y) . a0", reg)
-    visited, complete = thread(m, p)
-    assert complete
-    assert len(visited) == 3
-
-
-def test_thread_folds_cycles():
-    m = mk()
-    p = parse_process("(\\x. x) * ((\\x. x x) (\\x. x x)) . a0", m.registry)
-    visited, complete = thread(m, p)
-    assert complete
-    assert len(visited) == 3
-
-
-def test_thread_budget_reports_incomplete():
-    m = mk()
-    dp = "(\\x. x x (\\z. z))"
-    p = parse_process(f"{dp} {dp} * a0", m.registry)
-    visited, complete = thread(m, p, max_nodes=10)
-    assert not complete
-    assert len(visited) == 10
+    assert step(m, parse_process("eq * #1 . #1 . cc . a0", reg)) is None
+    assert step(m, parse_process("eq_nat * #1 . #1 . cc . a0", reg)) is None
 
 
 ### substitutivity of interaction constants
@@ -312,7 +261,7 @@ def _random_steppable(rng, reg, m):
             random_closed_term(rng, reg, max_depth=4, allow_cont=True),
             random_stack(rng, reg, max_depth=3),
         )
-        if m.step(p) is not None:
+        if step(m, p) is not None:
             return p
     raise AssertionError("could not find a steppable random process")
 
@@ -324,8 +273,8 @@ def test_inert_constant_substitution_commutes_with_step():
     for _ in range(150):
         p = _random_steppable(rng, reg, m)
         u = random_closed_term(rng, reg, max_depth=3)
-        q = m.step(p)
-        assert m.step(subst_const(p, "c_a", u)) == subst_const(q, "c_a", u)
+        q = step(m, p)
+        assert step(m, subst_const(p, "c_a", u)) == subst_const(q, "c_a", u)
 
 
 def test_stack_constant_substitution_commutes_with_step():
@@ -335,8 +284,8 @@ def test_stack_constant_substitution_commutes_with_step():
     pi0 = parse_stack("(\\x. x) . a1", reg)
     for _ in range(150):
         p = _random_steppable(rng, reg, m)
-        q = m.step(p)
-        assert m.step(subst_stack_const(p, "a0", pi0)) == subst_stack_const(q, "a0", pi0)
+        q = step(m, p)
+        assert step(m, subst_stack_const(p, "a0", pi0)) == subst_stack_const(q, "a0", pi0)
 
 
 def test_quote_breaks_substitutivity_regression():
@@ -347,23 +296,23 @@ def test_quote_breaks_substitutivity_regression():
     delta = parse_term("\\x. x x", reg)
     m.quote_code(parse_stack("(\\x. x x) . a0", reg))
     p = parse_process("quote * (\\x. x) . c_a . a0", reg)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\x. x) * #1 . c_a . a0", reg)
     p_sub = subst_const(p, "c_a", delta)
     q_sub_expected = subst_const(q, "c_a", delta)
-    assert m.step(p_sub) == parse_process("(\\x. x) * #0 . (\\x. x x) . a0", reg)
-    assert m.step(p_sub) != q_sub_expected
+    assert step(m, p_sub) == parse_process("(\\x. x) * #0 . (\\x. x x) . a0", reg)
+    assert step(m, p_sub) != q_sub_expected
 
 
 def test_eq_breaks_substitutivity_regression():
     reg = MachineConfig(eq=True, inert_consts=("c_a", "c_b")).build()
     m = Machine(reg)
     p = parse_process("eq * c_a . c_b . (\\x. x) . (\\y. y y) . a0", reg)
-    q = m.step(p)
+    q = step(m, p)
     assert q == parse_process("(\\y. y y) * a0", reg)
     p_sub = subst_const(p, "c_a", Const("c_b"))
-    assert m.step(p_sub) == parse_process("(\\x. x) * a0", reg)
-    assert m.step(p_sub) != subst_const(q, "c_a", Const("c_b"))
+    assert step(m, p_sub) == parse_process("(\\x. x) * a0", reg)
+    assert step(m, p_sub) != subst_const(q, "c_a", Const("c_b"))
 
 
 ### non-generativity: steps never invent stack constants
@@ -379,8 +328,8 @@ def test_steps_do_not_generate_stack_constants():
             random_closed_term(rng, reg, max_depth=4, allow_cont=True),
             random_stack(rng, reg, max_depth=3),
         )
-        q = m.step(p)
-        if q is None or isinstance(q, tuple):
+        q = step(m, p)
+        if q is None:
             continue
         checked += 1
         assert collect_stack_constants(q) <= collect_stack_constants(p)

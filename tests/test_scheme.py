@@ -150,9 +150,6 @@ def test_extract_input_validation():
     toy = parse_term("\\u. u #0 (\\n v. v)", quoted)
     with pytest.raises(LamcError):
         extract_scheme(toy, [0], LEQ, registry=quoted)
-    forked = MachineConfig(fork=True).build()
-    with pytest.raises(LamcError):
-        extract_scheme(parse_term("\\x. x", forked), [0], LEQ, registry=forked)
     reg = MachineConfig().build()
     with pytest.raises(LamcError):  # open subject
         extract_scheme(parse_term("\\x. y", reg, free_vars=("y",)), [0], LEQ,

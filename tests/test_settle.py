@@ -26,7 +26,9 @@ from lamc.syntax import (
     subst_consts,
 )
 
-BUDGETS = (*range(8), 64)
+BUDGETS = (-3, -1, *range(8), 64)
+# past sys.maxsize, where islice refuses a bound
+HUGE_BUDGET = 10**20
 REGISTRIES = {"full": _full_registry, "plain": _plain_registry}
 # in the full registry the inert constants of a random term become instructions
 INSTRUCTIONS = {"c_a": Const("quote"), "c_b": Const("eq"),
@@ -80,6 +82,11 @@ def test_settle_agrees_with_run_on_random_processes(name):
             assert settle_end(reg, p, budget) == want, \
                 (process_to_text(p), budget)
             kinds.add(want[2].kind)
+        # a run that ends within 64 steps ends there at any larger budget;
+        # one that does not would never end at HUGE_BUDGET
+        if want[2].kind != "budget":
+            assert settle_end(reg, p, HUGE_BUDGET) == \
+                run_end(reg, p, HUGE_BUDGET), process_to_text(p)
     assert kinds == {"stuck", "cycle", "budget"}
 
 
@@ -138,11 +145,17 @@ def test_settle_reports_the_closing_configuration_with_its_own_hints():
 
 
 def test_settle_ignores_a_fork_past_the_budget():
-    reg = MachineConfig(fork=True).build()
-    p = parse_process(r"(\y. fork) * (\z. z) . (\z. z) . (\z. z) . a0", reg)
+    """An installed rule that raises, met one step past the budget, is never
+    reached by run(); settle's search past the budget stops there too."""
+    def fail(machine, s):
+        raise LamcError("fail fired")
+
+    reg = MachineConfig().build()
+    reg.install_instruction("fail", fail)
+    p = parse_process(r"(\y. fail) * (\z. z) . (\z. z) . (\z. z) . a0", reg)
     assert settle_end(reg, p, 1) == run_end(reg, p, 1)
     for fn in (run, settle):
-        with pytest.raises(LamcError, match="fork fired"):
+        with pytest.raises(LamcError, match="fail fired"):
             fn(Machine(reg), p, budget=2)
 
 
