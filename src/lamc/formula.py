@@ -391,17 +391,29 @@ def load_formula_registry(source: Union[str, dict]) -> dict[str, ArithFormula]:
             data = json.load(fh)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise LamcError("a formula file is a JSON object of named formulas")
     for name, entry in data.items():
+        if not isinstance(entry, dict):
+            raise LamcError(f"formula {name}: want a JSON object")
         g = entry.get("leadingForall", 0)
-        h = entry["rounds"]
-        fn_spec = entry["fn"]
+        h = entry.get("rounds")
+        fn_spec = entry.get("fn")
+        if not (isinstance(g, int) and isinstance(h, int)
+                and isinstance(fn_spec, dict)):
+            raise LamcError(f'formula {name}: want integer "rounds" and '
+                            f'"leadingForall" and an "fn" object')
         if "native" in fn_spec:
             native_name = fn_spec["native"]
-            if native_name not in NATIVE_FNS:
+            if not isinstance(native_name, str) or native_name not in NATIVE_FNS:
                 raise LamcError(f"unknown native function: {native_name}")
             fn = NATIVE_FNS[native_name]
         else:
-            fn = PrimRecFn(f"{name}_fn", fn_spec["arity"], dsl=_freeze_dsl(fn_spec["dsl"]))
+            dsl, arity = fn_spec.get("dsl"), fn_spec.get("arity")
+            if not (isinstance(dsl, (str, list, tuple)) and isinstance(arity, int)):
+                raise LamcError(f'formula {name}: "fn" wants "native", or '
+                                f'"dsl" and an integer "arity"')
+            fn = PrimRecFn(f"{name}_fn", arity, dsl=_freeze_dsl(dsl))
         table[name] = ArithFormula(name, g, h, fn)
     return table
 

@@ -151,36 +151,28 @@ class ScriptedAbelard:
         return reply
 
 
-class FreshConstantAbelard:
-    """Answers the scripted numbers with brand-new inert constants and
-    brand-new stack bottoms, so every reply is maximally uninformative."""
+def fresh_handle(registry: Registry) -> tuple[Const, Bottom]:
+    """A fresh inert constant facing a fresh stack bottom."""
+    (kname,) = fresh_constants(registry, 1, kind="term", prefix="kappa")
+    (aname,) = fresh_constants(registry, 1, kind="stack", prefix="alpha")
+    return Const(kname), Bottom(aname)
 
-    def __init__(self, registry: Registry, nseq: Sequence[int],
-                 term_prefix: str = "kappa", stack_prefix: str = "alpha"):
+
+class FreshConstantAbelard:
+    """Answers the scripted numbers with fresh handles, so every reply is
+    maximally uninformative."""
+
+    def __init__(self, registry: Registry, nseq: Sequence[int]):
         self._registry = registry
         self._nseq = list(nseq)
         self._next = 0
-        self._term_prefix = term_prefix
-        self._stack_prefix = stack_prefix
 
     def __call__(self, ctx: MoveContext) -> Optional[Reply]:
         if self._next >= len(self._nseq):
             return None
         n = self._nseq[self._next]
         self._next += 1
-        (kname,) = fresh_constants(self._registry, 1, kind="term",
-                                   prefix=self._term_prefix)
-        (aname,) = fresh_constants(self._registry, 1, kind="stack",
-                                   prefix=self._stack_prefix)
-        return n, Const(kname), Bottom(aname)
-
-
-def fresh_handle(registry: Registry, term_prefix: str = "kappa",
-                 stack_prefix: str = "alpha") -> tuple[Term, Stack]:
-    """A fresh inert constant facing a fresh stack bottom."""
-    (kname,) = fresh_constants(registry, 1, kind="term", prefix=term_prefix)
-    (aname,) = fresh_constants(registry, 1, kind="stack", prefix=stack_prefix)
-    return Const(kname), Bottom(aname)
+        return (n, *fresh_handle(self._registry))
 
 
 class RandomAbelard:
@@ -238,18 +230,37 @@ def load_abelard_script(source, registry: Registry):
             data = json.load(fh)
     else:
         data = source
-    leading = tuple(check_literal(int(z), "leading number")
-                    for z in data.get("leading", ()))
-    handle = None
-    if "handle" in data:
-        handle = (parse_term(data["handle"]["u"], registry),
-                  parse_stack(data["handle"]["pi"], registry))
-    replies = [
-        (check_literal(int(r["n"]), "reply number"), parse_term(r["u"], registry),
-         parse_stack(r["pi"], registry))
-        for r in data.get("replies", ())
-    ]
-    return leading, handle, ScriptedAbelard(replies)
+    if not isinstance(data, dict):
+        raise LamcError("an Abelard script is a JSON object")
+    leading = data.get("leading", ())
+    replies = data.get("replies", ())
+    if not all(isinstance(x, (list, tuple)) for x in (leading, replies)):
+        raise LamcError('script "leading" and "replies" want lists')
+    leading = tuple(_script_number(z, "leading number") for z in leading)
+    handle = _script_handle(data["handle"], "handle", registry) \
+        if "handle" in data else None
+    scripted = []
+    for r in replies:
+        if not (isinstance(r, dict) and "n" in r):
+            raise LamcError('each script reply wants "n", "u" and "pi"')
+        n = _script_number(r["n"], "reply number")
+        scripted.append((n, *_script_handle(r, "reply", registry)))
+    return leading, handle, ScriptedAbelard(scripted)
+
+
+def _script_number(z, what: str) -> int:
+    try:
+        n = int(z)
+    except (TypeError, ValueError, OverflowError):
+        raise LamcError(f"{what} wants an integer, got {z!r}") from None
+    return check_literal(n, what)
+
+
+def _script_handle(obj, what: str, registry: Registry) -> tuple[Term, Stack]:
+    if not (isinstance(obj, dict) and isinstance(obj.get("u"), str)
+            and isinstance(obj.get("pi"), str)):
+        raise LamcError(f'script {what} wants "u" and "pi" as text')
+    return parse_term(obj["u"], registry), parse_stack(obj["pi"], registry)
 
 
 ### outcomes

@@ -16,6 +16,7 @@ from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .formula import ArithFormula
+from .game import fresh_handle, play_shape
 from .machine import Machine, MachineConfig, walk
 from .syntax import (
     Bottom,
@@ -26,8 +27,6 @@ from .syntax import (
     Registry,
     Stack,
     Term,
-    decode_numeral,
-    fresh_constants,
     is_closed,
     numeral,
     parse_term,
@@ -38,75 +37,6 @@ from .syntax import (
 )
 
 Path = tuple[int, ...]
-
-
-### the play tree
-
-class PathTree:
-    """Paths in addition order; index 0 is the empty root path.
-
-    Every insertion preserves two closure properties: a path's parent is
-    already present, and so are all of its smaller-numbered siblings.
-    """
-
-    def __init__(self):
-        self._paths: list[Path] = [()]
-        self._index: dict[Path, int] = {(): 0}
-
-    def add(self, path: Path) -> int:
-        path = tuple(path)
-        if path in self._index:
-            raise LamcError(f"path {path} already in the tree")
-        if not path:
-            raise LamcError("the root path is always present")
-        parent, c = path[:-1], path[-1]
-        if parent not in self._index:
-            raise LamcError(f"path {path} lacks its parent in the tree")
-        if c > 0 and parent + (c - 1,) not in self._index:
-            raise LamcError(f"path {path} skips a smaller sibling")
-        self._paths.append(path)
-        self._index[path] = len(self._paths) - 1
-        return self._index[path]
-
-    def add_child(self, parent: Path) -> Path:
-        """Attach the first unused child slot under the parent."""
-        parent = tuple(parent)
-        if parent not in self._index:
-            raise LamcError(f"no node at path {parent}")
-        c = 0
-        while parent + (c,) in self._index:
-            c += 1
-        path = parent + (c,)
-        self.add(path)
-        return path
-
-    def path(self, index: int) -> Path:
-        return self._paths[index]
-
-    def index_of(self, path: Path) -> int:
-        try:
-            return self._index[tuple(path)]
-        except KeyError:
-            raise LamcError(f"no node at path {tuple(path)}") from None
-
-    def __contains__(self, path) -> bool:
-        return tuple(path) in self._index
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def paths(self) -> list[Path]:
-        return list(self._paths)
-
-    def validate(self) -> None:
-        seen: set[Path] = set()
-        for path in self._paths:
-            if path:
-                if path[:-1] not in seen:
-                    raise LamcError(f"path {path} precedes its parent")
-                if path[-1] > 0 and path[:-1] + (path[-1] - 1,) not in seen:
-                    raise LamcError(f"path {path} precedes a smaller sibling")
-            seen.add(path)
 
 
 ### extraction results
@@ -125,9 +55,15 @@ class SchemeNode:
 class SchemeLine:
     """One run segment: from a resumed handler to the next recognized shape."""
 
-    start: Process
-    end: Process
     steps: tuple[Process, ...]
+
+    @property
+    def start(self) -> Process:
+        return self.steps[0]
+
+    @property
+    def end(self) -> Process:
+        return self.steps[-1]
 
 
 @dataclass
@@ -136,14 +72,8 @@ class ThreadScheme:
     lines: list[SchemeLine]
     final_line: int                  # which line reached the finishing shape
     success_index: int               # which constant's bottom it finished on
-    depth: int
+    handles: list[tuple[Const, Bottom]]  # the pair minted for each line
     ok: bool = True
-
-    def tree(self) -> PathTree:
-        t = PathTree()
-        for node in self.nodes[1:]:
-            t.add(node.path)
-        return t
 
     def shape(self) -> list[tuple[Path, Optional[int], Optional[int], Optional[int]]]:
         """Registry-independent fingerprint: (path, m, n, parent) per node."""
@@ -151,16 +81,16 @@ class ThreadScheme:
 
     def values_along(self, path: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The numbers exchanged at each prefix of the path, shallow first."""
-        tree = {node.path: node for node in self.nodes}
         path = tuple(path)
-        if path not in tree:
+        node = next((n for n in self.nodes if n.path == path), None)
+        if node is None:
             raise LamcError(f"no node at path {path}")
         ms, ns = [], []
-        for i in range(1, len(path) + 1):
-            node = tree[path[:i]]
+        while node.parent is not None:
             ms.append(node.m)
             ns.append(node.n)
-        return tuple(ms), tuple(ns)
+            node = self.nodes[node.parent]
+        return tuple(reversed(ms)), tuple(reversed(ns))
 
     def to_json(self) -> dict:
         return {
@@ -187,17 +117,11 @@ class ThreadScheme:
         return "\n".join(out)
 
     def constant_names(self, j: int) -> tuple[str, str]:
-        """The minted constant and bottom names of interaction j, read back
-        from the recorded line starts."""
-        if not 0 <= j < len(self.lines):
+        """The minted constant and bottom names of interaction j."""
+        if not 0 <= j < len(self.handles):
             raise LamcError(f"no interaction {j} in the scheme")
-        stack = self.lines[j].start.stack
-        if j > 0:
-            stack = stack.rest
-        if not (isinstance(stack, Push) and isinstance(stack.top, Const)
-                and isinstance(stack.rest, Bottom)):
-            raise LamcError(f"line {j} does not start on a minted pair")
-        return stack.top.name, stack.rest.name
+        kappa, alpha = self.handles[j]
+        return kappa.name, alpha.name
 
     def render_dot(self) -> str:
         out = ["digraph scheme {", '  node [shape=box];',
@@ -226,23 +150,18 @@ ExtractResult = Union[ThreadScheme, SchemeFailure]
 ### extraction
 
 def _interaction_shape(p: Process, kappa_index: dict[str, int],
-                       alpha_of: dict[int, str]):
+                       handles: list[tuple[Const, Bottom]]):
     """Classify p as ('finish', j), ('play', j, m, t) or None."""
     t = p.term
     if not isinstance(t, Const) or t.name not in kappa_index:
         return None
     j = kappa_index[t.name]
-    s = p.stack
-    if isinstance(s, Bottom):
-        if s.name == alpha_of[j]:
-            return ("finish", j)
-        return None
-    if isinstance(s, Push) and isinstance(s.rest, Push) \
-            and isinstance(s.rest.rest, Bottom) \
-            and s.rest.rest.name == alpha_of[j]:
-        m = decode_numeral(s.top)
-        if m is not None:
-            return ("play", j, m, s.rest.top)
+    alpha = handles[j][1]
+    if p.stack == alpha:
+        return ("finish", j)
+    shape = play_shape(p)
+    if shape is not None and shape[0][1] == alpha:
+        return ("play", j, shape[1], shape[2])
     return None
 
 
@@ -252,10 +171,11 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
     """Run t0 against fresh constants, recording every exchange as a tree node.
 
     Each time the machine reaches constant j applied to a literal number and a
-    handler over j's own bottom, a child node is attached under j's path and
-    the handler is resumed with the next scripted answer and brand-new
-    constants. Extraction succeeds when some constant s is reached bare on its
-    own bottom at full depth with payoff zero.
+    handler over j's own bottom, a child node is attached under j's path, in
+    j's first unused child slot, and the handler is resumed with the next
+    scripted answer and a freshly minted pair. Extraction succeeds when some
+    constant s is reached bare on its own bottom at full depth with payoff
+    zero.
     """
     if registry is None:
         registry = MachineConfig().build()
@@ -271,26 +191,26 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
             f"and has nowhere to put those numbers")
 
     machine = Machine(registry)
-    tree = PathTree()
+    handles: list[tuple[Const, Bottom]] = []
     kappa_index: dict[str, int] = {}
-    alpha_of: dict[int, str] = {}
-
-    def mint() -> tuple[Term, Stack]:
-        j = len(alpha_of)
-        (kname,) = fresh_constants(registry, 1, kind="term", prefix="kappa")
-        (aname,) = fresh_constants(registry, 1, kind="stack", prefix="alpha")
-        kappa_index[kname] = j
-        alpha_of[j] = aname
-        return Const(kname), Bottom(aname)
-
-    k0, a0 = mint()
     nodes: list[SchemeNode] = [SchemeNode(0, (), None, None, None, t0)]
+    children = [0]                   # child slots used under each node
     lines: list[SchemeLine] = []
     answers = list(nseq)
-    p = Process(t0, Push(k0, a0))
     steps_left = budget
 
     while True:
+        # each line resumes the newest node's term on a freshly minted pair,
+        # after the answer it was given (the root has none)
+        kappa, alpha = fresh_handle(registry)
+        kappa_index[kappa.name] = len(handles)
+        handles.append((kappa, alpha))
+        node = nodes[-1]
+        stack = Push(kappa, alpha)
+        if node.n is not None:
+            stack = Push(numeral(node.n), stack)
+        p = Process(node.term, stack)
+
         # one line: the run from p to the next recognized shape
         trace: list[Process] = []
         seen: set[Process] = set()
@@ -300,7 +220,7 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
                                      nodes, lines)
             seen.add(p)
             trace.append(p)
-            shape = _interaction_shape(p, kappa_index, alpha_of)
+            shape = _interaction_shape(p, kappa_index, handles)
             if shape is not None:
                 break
             if steps_left <= 0:
@@ -312,17 +232,17 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
                 "stuck", f"no continuation at {process_to_text(p)}",
                 nodes, lines)
 
-        lines.append(SchemeLine(trace[0], trace[-1], tuple(trace)))
+        lines.append(SchemeLine(tuple(trace)))
         if shape[0] == "finish":
             s = shape[1]
-            path = tree.path(s)
+            path = nodes[s].path
             if len(path) != phi.rounds:
                 return SchemeFailure(
                     "stuck",
                     f"finished on constant {s} at depth {len(path)}, "
                     f"but the formula has {phi.rounds} rounds",
                     nodes, lines)
-            scheme = ThreadScheme(nodes, lines, len(lines) - 1, s, phi.rounds)
+            scheme = ThreadScheme(nodes, lines, len(lines) - 1, s, handles)
             ms, ns = scheme.values_along(path)
             payoff = phi.f_value((), ms, ns)
             if payoff != 0:
@@ -337,13 +257,10 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
         if not answers:
             return SchemeFailure("budget", "answer sequence exhausted",
                                  nodes, lines)
-        n = answers.pop(0)
-        path = tree.add_child(tree.path(j))
-        idx = len(nodes)
-        assert tree.index_of(path) == idx
-        nodes.append(SchemeNode(idx, path, m, n, j, handler))
-        k_new, a_new = mint()
-        p = Process(handler, Push(numeral(n), Push(k_new, a_new)))
+        path = nodes[j].path + (children[j],)
+        children[j] += 1
+        children.append(0)
+        nodes.append(SchemeNode(len(nodes), path, m, answers.pop(0), j, handler))
 
 
 ### substitution along a path

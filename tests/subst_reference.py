@@ -1,5 +1,6 @@
 """Reference implementations of substitution, the name collector and the
-substitution replay, kept for differential tests.
+substitution replay, and the checks on an extracted play tree, kept for
+differential tests.
 
 Each function rebuilds or walks the tree with its own recursive helper, one
 per job, and the replay rewrites every line once per constant and once per
@@ -182,8 +183,38 @@ def replay_with_substitution(scheme, replacements):
     for line in scheme.lines:
         start, end = line.start, line.end
         for j, (u, pi) in replacements.items():
-            kname, aname = scheme.constant_names(j)
+            kname, aname = line_start_names(scheme, j)
             start = subst_stack_const(subst_const(start, kname, u), aname, pi)
             end = subst_stack_const(subst_const(end, kname, u), aname, pi)
         predicted.append((start, end))
     return predicted
+
+
+### the extracted play tree
+
+def line_start_names(scheme, j):
+    """The constant and bottom names minted for interaction j, parsed from
+    where line j starts: on the pair itself for the root line, after the
+    answer for every later one."""
+    if not 0 <= j < len(scheme.lines):
+        raise LamcError(f"no interaction {j} in the scheme")
+    stack = scheme.lines[j].start.stack
+    if j > 0:
+        stack = stack.rest
+    if not (isinstance(stack, Push) and isinstance(stack.top, Const)
+            and isinstance(stack.rest, Bottom)):
+        raise LamcError(f"line {j} does not start on a minted pair")
+    return stack.top.name, stack.rest.name
+
+
+def check_play_tree(nodes):
+    """Each node's parent precedes it, and each path is the parent's path
+    plus the parent's next unused child slot."""
+    assert nodes[0].path == () and nodes[0].parent is None
+    used = [0] * len(nodes)
+    for i, node in enumerate(nodes[1:], start=1):
+        assert node.idx == i
+        assert 0 <= node.parent < i, f"node {i} precedes its parent"
+        assert node.path == nodes[node.parent].path + (used[node.parent],), \
+            f"node {i} at {node.path} skips or repeats a child slot"
+        used[node.parent] += 1

@@ -8,6 +8,7 @@ search, or frozen golden values recomputed by hand).
 import random
 import time
 
+import subst_reference as ref
 from lamc.formula import (
     IDX_HALT3,
     IDX_LOOP,
@@ -270,7 +271,7 @@ def test_scheme_extraction_and_replay():
     assert toy.ok
     assert toy.shape() == [((), None, None, None), ((0,), 0, 4, 0)]
     assert (toy.final_line, toy.success_index) == (1, 1)
-    toy.tree().validate()
+    ref.check_play_tree(toy.nodes)
 
     reg2 = MachineConfig().build()
     mock = build_scripted_realizer((0, 0, 2, 2, 0, 1), (1, 2, 3, 4, 5, 6), 4,
@@ -283,10 +284,7 @@ def test_scheme_extraction_and_replay():
     assert [n.n for n in full.nodes[1:]] == [0, 2, 0, 0, 0, 0]
     assert [n.parent for n in full.nodes[1:]] == [0, 0, 2, 2, 0, 1]
     assert (full.final_line, full.success_index) == (6, 4)
-    tree = full.tree()
-    tree.validate()
-    for node in full.nodes[1:]:
-        assert node.path[:-1] == tree.path(node.parent)
+    ref.check_play_tree(full.nodes)
     ms, ns = full.values_along((1, 1))
     assert (ms, ns) == ((2, 4), (2, 0))
     assert PHI4.f_value((), ms, ns) == 0

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from lamc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -187,6 +189,35 @@ def test_match_config_errors(capsys, tmp_path):
                          "--realizer", "t_leq", "--formula", "leq",
                          "--abelard", str(bad))
     assert rc == 2
+
+
+REPLY = {"n": 1, "u": "c_a", "pi": "a0"}
+DSL_ZERO = {"dsl": "zero", "arity": 2}
+
+
+@pytest.mark.parametrize("option,data", [
+    ("--abelard", []),
+    ("--abelard", {"replies": [{"n": 1}]}),
+    ("--abelard", {"replies": [{**REPLY, "n": "x"}]}),
+    ("--abelard", {"leading": 5, "replies": [REPLY]}),
+    ("--abelard", {"handle": {"u": "c_a"}, "replies": [REPLY]}),
+    ("--formula-file", [1]),
+    ("--formula-file", {"f": {"rounds": 1}}),
+    ("--formula-file", {"f": {"rounds": 1, "fn": {"dsl": "zero"}}}),
+    ("--formula-file", {"f": {"rounds": "a", "fn": DSL_ZERO}}),
+])
+def test_malformed_scripts_and_formula_files_exit_2(capsys, tmp_path,
+                                                    option, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    # a later --abelard replaces "fresh", so one command line serves both
+    argv = ["match", "--game", "g1", "--realizer", "t_leq",
+            "--formula", "leq", "--abelard", "fresh", "--answers", "0",
+            option, str(path)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_match_quantum_below_one_is_an_error_not_a_hang(capsys):

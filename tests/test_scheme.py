@@ -1,5 +1,6 @@
 """Play-tree extraction tests: tree invariants, goldens, replay, cross-checks."""
 
+import dataclasses
 import json
 import random
 
@@ -10,7 +11,6 @@ from lamc.formula import builtin_formulae
 from lamc.game import FreshConstantAbelard, fresh_handle, play_g1
 from lamc.machine import Machine, MachineConfig
 from lamc.scheme import (
-    PathTree,
     SchemeFailure,
     ThreadScheme,
     build_scripted_realizer,
@@ -54,48 +54,6 @@ def figure_scheme():
     res = extract_scheme(mock, FIG_ANSWERS, PHI4, registry=reg)
     assert res.ok
     return reg, res
-
-
-### the path tree
-
-def test_path_tree_addition_order_is_the_characteristic_function():
-    t = PathTree()
-    assert t.path(0) == ()
-    assert t.add((0,)) == 1
-    assert t.add((1,)) == 2
-    assert t.add((1, 0)) == 3
-    assert t.path(3) == (1, 0)
-    assert t.index_of((1,)) == 2
-    assert (1, 0) in t and (2,) not in t
-    t.validate()
-
-
-def test_path_tree_rejects_bad_insertions():
-    t = PathTree()
-    with pytest.raises(LamcError):  # duplicate root
-        t.add(())
-    with pytest.raises(LamcError):  # no parent
-        t.add((0, 0))
-    with pytest.raises(LamcError):  # skips sibling 0
-        t.add((1,))
-    t.add((0,))
-    with pytest.raises(LamcError):  # duplicate
-        t.add((0,))
-    with pytest.raises(LamcError):  # sibling 1 before sibling 0 below (0,)
-        t.add((0, 1))
-
-
-def test_path_tree_add_child_takes_first_unused_slot():
-    t = PathTree()
-    assert t.add_child(()) == (0,)
-    assert t.add_child(()) == (1,)
-    assert t.add_child((1,)) == (1, 0)
-    assert t.add_child((1,)) == (1, 1)
-    assert t.add_child(()) == (2,)
-    assert t.add_child((0,)) == (0, 0)
-    assert t.paths() == [(), (0,), (1,), (1, 0), (1, 1), (2,), (0, 0)]
-    with pytest.raises(LamcError):
-        t.add_child((9,))
 
 
 ### extraction: the one-round toy
@@ -145,6 +103,17 @@ def test_extract_failure_modes():
     assert not out.ok and out.kind == "stuck"
 
 
+def test_a_play_over_another_bottom_is_not_an_interaction():
+    # the second play reuses kappa0 over alpha1, the bottom of the line it
+    # runs in: no exchange shape, so the run is stuck on the inert kappa0
+    reg = MachineConfig().build()
+    t0 = parse_term("\\k0. k0 #0 (\\n1 k1. k0 #1 (\\n2 k2. k2))", reg)
+    out = extract_scheme(t0, [4, 4], LEQ, registry=reg)
+    assert not out.ok and out.kind == "stuck"
+    assert out.detail.startswith("no continuation at kappa0 * #1 . ")
+    assert out.detail.endswith(" . alpha1")
+
+
 def test_extract_input_validation():
     quoted = MachineConfig(quote=True).build()
     toy = parse_term("\\u. u #0 (\\n v. v)", quoted)
@@ -170,7 +139,7 @@ def test_figure_scheme_shape():
     assert res.final_line == 6
     assert res.success_index == 4
     assert len(res.lines) == 7
-    res.tree().validate()
+    ref.check_play_tree(res.nodes)
 
 
 def test_figure_scheme_success_values():
@@ -184,10 +153,9 @@ def test_figure_scheme_success_values():
 
 def test_figure_scheme_parent_links_hold():
     _, res = figure_scheme()
-    tree = res.tree()
     for node in res.nodes[1:]:
-        assert node.path[:-1] == tree.path(node.parent)
-        assert len(node.path) == len(tree.path(node.parent)) + 1
+        assert node.path[:-1] == res.nodes[node.parent].path
+        assert len(node.path) == len(res.nodes[node.parent].path) + 1
 
 
 def test_figure_scheme_constants_hygiene():
@@ -369,6 +337,38 @@ def test_replay_agrees_with_the_sequential_reference():
             assert got == want
             assert [(process_to_text(a), process_to_text(b)) for a, b in got] == \
                 [(process_to_text(a), process_to_text(b)) for a, b in want]
+
+
+def test_schemes_keep_the_play_tree_invariant():
+    for _, res in schemes():
+        ref.check_play_tree(res.nodes)
+
+
+def test_play_tree_check_rejects_bad_trees():
+    _, res = figure_scheme()
+    nodes = res.nodes
+    skipped = list(nodes)               # (1,) recorded as (2,): skips slot 1
+    skipped[2] = dataclasses.replace(nodes[2], path=(2,))
+    repeated = list(nodes)              # (1,) recorded as (0,): reuses slot 0
+    repeated[2] = dataclasses.replace(nodes[2], path=(0,))
+    late = list(nodes)                  # node 1 hung under a later node
+    late[1] = dataclasses.replace(nodes[1], parent=2, path=(1, 0))
+    for bad in (skipped, repeated, late):
+        with pytest.raises(AssertionError):
+            ref.check_play_tree(bad)
+
+
+def test_recorded_handles_are_the_pairs_each_line_starts_on():
+    for _, res in schemes():
+        assert len(res.handles) == len(res.lines)
+        for j in range(len(res.lines)):
+            assert res.constant_names(j) == ref.line_start_names(res, j)
+
+
+def test_replay_rejects_an_interaction_past_the_scheme():
+    _, res = figure_scheme()
+    with pytest.raises(LamcError, match="no interaction 7 in the scheme"):
+        replay_with_substitution(res, {7: (Const("c_a"), Bottom("a0"))})
 
 
 @pytest.mark.parametrize("trial", range(8))
