@@ -22,8 +22,8 @@ from .syntax import (
     Registry,
     Stack,
     Term,
-    decode_nat_tuple,
     decode_numeral,
+    is_natural,
     pop_items,
 )
 
@@ -399,10 +399,9 @@ def load_formula_registry(source: Union[str, dict]) -> dict[str, ArithFormula]:
         g = entry.get("leadingForall", 0)
         h = entry.get("rounds")
         fn_spec = entry.get("fn")
-        if not (isinstance(g, int) and isinstance(h, int)
-                and isinstance(fn_spec, dict)):
-            raise LamcError(f'formula {name}: want integer "rounds" and '
-                            f'"leadingForall" and an "fn" object')
+        if not (is_natural(g) and is_natural(h) and isinstance(fn_spec, dict)):
+            raise LamcError(f'formula {name}: want natural numbers "rounds" '
+                            f'and "leadingForall" and an "fn" object')
         if "native" in fn_spec:
             native_name = fn_spec["native"]
             if not isinstance(native_name, str) or native_name not in NATIVE_FNS:
@@ -410,9 +409,9 @@ def load_formula_registry(source: Union[str, dict]) -> dict[str, ArithFormula]:
             fn = NATIVE_FNS[native_name]
         else:
             dsl, arity = fn_spec.get("dsl"), fn_spec.get("arity")
-            if not (isinstance(dsl, (str, list, tuple)) and isinstance(arity, int)):
+            if not (isinstance(dsl, (str, list, tuple)) and is_natural(arity)):
                 raise LamcError(f'formula {name}: "fn" wants "native", or '
-                                f'"dsl" and an integer "arity"')
+                                f'"dsl" and a natural number "arity"')
             fn = PrimRecFn(f"{name}_fn", arity, dsl=_freeze_dsl(dsl))
         table[name] = ArithFormula(name, g, h, fn)
     return table
@@ -436,12 +435,13 @@ def make_theta(registry: Registry, fn: PrimRecFn, split: tuple[int, int],
     if name is None:
         name = f"Theta_{fn.name}"
 
-    def decode_block(item: Term, arity: int) -> Optional[tuple[int, ...]]:
+    def decode_block(machine, item: Term,
+                     arity: int) -> Optional[tuple[int, ...]]:
         if arity == 1:
             n = decode_numeral(item)
             if n is not None:
                 return (n,)
-        tup = decode_nat_tuple(item)
+        tup = machine.nat_tuple(item)
         if tup is not None and len(tup) == arity:
             return tup
         return None
@@ -451,8 +451,8 @@ def make_theta(registry: Registry, fn: PrimRecFn, split: tuple[int, int],
         if popped is None:
             return None
         (a_item, b_item, t0, t1), rest = popped
-        a_args = decode_block(a_item, a_arity)
-        b_args = decode_block(b_item, b_arity)
+        a_args = decode_block(machine, a_item, a_arity)
+        b_args = decode_block(machine, b_item, b_arity)
         if a_args is None or b_args is None:
             return None
         value = eval_fn(fn, [*a_args, *b_args])

@@ -35,6 +35,7 @@ from .syntax import (
     decode_numeral,
     fresh_constants,
     is_closed,
+    is_natural,
     numeral,
     parse_stack,
     parse_term,
@@ -249,11 +250,9 @@ def load_abelard_script(source, registry: Registry):
 
 
 def _script_number(z, what: str) -> int:
-    try:
-        n = int(z)
-    except (TypeError, ValueError, OverflowError):
-        raise LamcError(f"{what} wants an integer, got {z!r}") from None
-    return check_literal(n, what)
+    if not is_natural(z):
+        raise LamcError(f"{what} wants a natural number, got {z!r}")
+    return check_literal(z, what)
 
 
 def _script_handle(obj, what: str, registry: Registry) -> tuple[Term, Stack]:

@@ -24,11 +24,15 @@ from .syntax import (
     Cont,
     Lam,
     LamcError,
+    Node,
     Process,
     Push,
     Registry,
     Stack,
+    Term,
+    decode_nat_tuple,
     decode_numeral,
+    encode_nat_tuple,
     is_closed,
     numeral,
     pop_items,
@@ -52,11 +56,15 @@ RULE_EQ_NAT = "EqNat"
 
 
 class Machine:
-    """Registry plus per-run instruction state (the quote intern table)."""
+    """Registry plus per-run instruction state: the quote intern table, and
+    what the native rules know of the nodes they built (nat tuples by value,
+    and each built tuple or list node by identity with the value it codes)."""
 
     def __init__(self, registry: Registry):
         self.registry = registry
         self._quote_codes: dict[Stack, int] = {}
+        self._tuple_terms: dict[tuple[int, ...], Term] = {}
+        self._values: dict[int, tuple[Node, object]] = {}
 
     def quote_code(self, pi: Stack) -> int:
         """Code of a stack: position in first-seen order, injective per machine."""
@@ -65,6 +73,29 @@ class Machine:
             code = len(self._quote_codes)
             self._quote_codes[pi] = code
         return code
+
+    def record(self, node: Node, value: object) -> Node:
+        """Remember that node, built by a rule of this run, codes value. The
+        entry holds the node, so its id is not reused while the entry lives."""
+        self._values[id(node)] = (node, value)
+        return node
+
+    def recorded(self, node: Node) -> object:
+        """The value recorded for this very node, or None."""
+        entry = self._values.get(id(node))
+        return entry[1] if entry is not None and entry[0] is node else None
+
+    def nat_tuple(self, t: Term) -> Optional[tuple[int, ...]]:
+        """decode_nat_tuple(t), read from the record when this run built t."""
+        value = self.recorded(t)
+        return value if type(value) is tuple else decode_nat_tuple(t)
+
+    def nat_tuple_term(self, tup: tuple[int, ...]) -> Term:
+        """encode_nat_tuple(tup), built once per run and recorded."""
+        t = self._tuple_terms.get(tup)
+        if t is None:
+            t = self._tuple_terms[tup] = self.record(encode_nat_tuple(tup), tup)
+        return t
 
     def step_labeled(self, p: Process) -> tuple[StepResult, Optional[str]]:
         t, s = p.term, p.stack

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .formula import ArithFormula, FN_HALT01, make_theta
-from .machine import Machine, run
+from .machine import Machine, walk
 from .syntax import (
     App,
     Bound,
@@ -22,6 +22,7 @@ from .syntax import (
     Const,
     Lam,
     LamcError,
+    NIL,
     Process,
     Push,
     Registry,
@@ -36,6 +37,7 @@ from .syntax import (
     encode_list,
     encode_nat_tuple,
     fv,
+    is_closed,
     lam,
     numeral,
     parse_term,
@@ -71,15 +73,25 @@ def identity_like_family(registry: Registry) -> dict[str, Term]:
 
 def check_identity_like(term: Term, registry: Registry, trials: int = 100,
                         seed: int = 0, budget: int = 50) -> bool:
-    """Fuzz the contract t * u.pi > u * pi over random closed u and pi."""
+    """Fuzz the contract t * u.pi > u * pi over random closed u and pi: the
+    target must be among the first budget + 1 configurations of the run,
+    which hold every configuration a repeat would revisit. A budget below 0
+    acts as 0."""
     rng = random.Random(seed)
     machine = Machine(registry)
     for _ in range(trials):
         u = random_closed_term(rng, registry)
         pi = random_stack(rng, registry)
         target = Process(u, pi)
-        trace = run(machine, Process(term, Push(u, pi)), budget=budget)
-        if target not in trace.steps:
+        p = Process(term, Push(u, pi))
+        if not is_closed(p):
+            raise LamcError("run wants a closed process")
+        for idx, (q, _) in enumerate(walk(machine, p)):
+            if q == target:
+                break
+            if idx >= budget:
+                return False
+        else:
             return False
     return True
 
@@ -176,6 +188,43 @@ def encode_history_entry(ms, ns, u: Term, k: Term) -> Term:
     return encode_list([encode_nat_tuple(ms), encode_nat_tuple(ns), u, k])
 
 
+class _Spine:
+    """The cells of a history list built by a rule of this run, newest first:
+    the list's first cell and the spine of its tail, None for nil."""
+
+    __slots__ = ("cell", "rest")
+
+    def __init__(self, cell: HistoryCell, rest: Optional[_Spine]):
+        self.cell = cell
+        self.rest = rest
+
+    def __iter__(self) -> Iterator[HistoryCell]:
+        spine: Optional[_Spine] = self
+        while spine is not None:
+            yield spine.cell
+            spine = spine.rest
+
+
+def _item(t: Term, i: int) -> Term:
+    """Item i of a list term known to be longer than i: for a decoded nat
+    tuple, the numeral itself, so a move reuses it instead of a copy."""
+    for _ in range(i):
+        t = t.arg
+    return t.fn.arg
+
+
+def _history_cons(machine: Machine, cell: HistoryCell, tail: Term) -> Term:
+    """The history list tail with cell in front. It is recorded when the tail
+    is nil or recorded, so that the lookup never decodes it."""
+    entry = encode_list([machine.nat_tuple_term(cell.ms),
+                         machine.nat_tuple_term(cell.ns), cell.u, cell.k])
+    node = cons_cell(entry, tail)
+    rest = None if tail is NIL else machine.recorded(tail)
+    if tail is NIL or isinstance(rest, _Spine):
+        machine.record(node, _Spine(cell, rest))
+    return node
+
+
 def decode_history(t: Term) -> Optional[list[HistoryCell]]:
     cells = decode_list(t)
     if cells is None:
@@ -250,12 +299,12 @@ def _install_next(registry: Registry) -> None:
     def rule(machine: Machine, s: Stack):
         if not (isinstance(s, Push) and isinstance(s.rest, Push)):
             return None
-        tup = decode_nat_tuple(s.top)
+        tup = machine.nat_tuple(s.top)
         if tup is None or not tup:
             return None
         cont = s.rest.top
-        succ = tuple_successor(tup)
-        return Process(cont, Push(encode_nat_tuple(succ), s.rest.rest))
+        succ = machine.nat_tuple_term(tuple_successor(tup))
+        return Process(cont, Push(succ, s.rest.rest))
 
     registry.install_instruction("next", rule, label="next")
 
@@ -291,10 +340,10 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
         if not isinstance(s, Push):
             return None
         u0, pi0 = s.top, s.rest
-        root = encode_history_entry((), (), u0, Cont(pi0))
-        m_enc = encode_nat_tuple((0,) * h)
-        t1 = turn_term(1, m_enc, encode_nat_tuple(()), encode_list([root]))
-        return Process(u0, Push(numeral(0), Push(t1, pi0)))
+        root = _history_cons(machine, HistoryCell((), (), u0, Cont(pi0)), NIL)
+        m_enc = machine.nat_tuple_term((0,) * h)
+        t1 = turn_term(1, m_enc, machine.nat_tuple_term(()), root)
+        return Process(u0, Push(_item(m_enc, 0), Push(t1, pi0)))
 
     def make_turn_rule(i: int) -> Callable:
         def rule(machine: Machine, s: Stack):
@@ -302,20 +351,20 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
             if popped is None:
                 return None
             (m_enc, n_enc, h_enc, n_term, u_term), rest = popped
-            m_vec = decode_nat_tuple(m_enc)
-            n_prefix = decode_nat_tuple(n_enc)
+            m_vec = machine.nat_tuple(m_enc)
+            n_prefix = machine.nat_tuple(n_enc)
             n_val = decode_numeral(n_term)
             if (m_vec is None or len(m_vec) != h
                     or n_prefix is None or len(n_prefix) != i - 1
                     or n_val is None):
                 return None
             n_vec = (*n_prefix, n_val)
-            new_n_enc = encode_nat_tuple(n_vec)
-            entry = encode_history_entry(m_vec[:i], n_vec, u_term, Cont(rest))
-            h2 = cons_cell(entry, h_enc)
+            new_n_enc = machine.nat_tuple_term(n_vec)
+            h2 = _history_cons(machine, HistoryCell(m_vec[:i], n_vec, u_term,
+                                                    Cont(rest)), h_enc)
             if i < h:
                 nxt = turn_term(i + 1, m_enc, new_n_enc, h2)
-                return Process(u_term, Push(numeral(m_vec[i]), Push(nxt, rest)))
+                return Process(u_term, Push(_item(m_enc, i), Push(nxt, rest)))
             fallback = app(Const(advance_name), m_enc, h2)
             stack = Push(m_enc, Push(new_n_enc, Push(u_term,
                          Push(fallback, rest))))
@@ -336,8 +385,10 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
         if popped is None:
             return None
         (h_enc, m_enc), _rest = popped
-        m_vec = decode_nat_tuple(m_enc)
-        cells = decode_history(h_enc)
+        m_vec = machine.nat_tuple(m_enc)
+        cells = machine.recorded(h_enc)
+        if not isinstance(cells, _Spine):
+            cells = decode_history(h_enc)
         if m_vec is None or len(m_vec) != h or cells is None:
             return None
         for depth in range(h - 1, -1, -1):
@@ -347,8 +398,8 @@ def build_t_phi(registry: Registry, phi: ArithFormula) -> Term:
                     if not isinstance(cell.k, Cont):
                         return None
                     nxt = turn_term(depth + 1, m_enc,
-                                    encode_nat_tuple(cell.ns), h_enc)
-                    return Process(cell.u, Push(numeral(m_vec[depth]),
+                                    machine.nat_tuple_term(cell.ns), h_enc)
+                    return Process(cell.u, Push(_item(m_enc, depth),
                                                 Push(nxt, cell.k.stack)))
         return None
 

@@ -735,6 +735,11 @@ def check_literal(n: int, what: str) -> int:
         raise LamcError(f"{what} {n} is above #{MAX_NUMERAL_LITERAL}")
     return n
 
+
+def is_natural(x: object) -> bool:
+    """A JSON natural number: an int, not a bool, at least 0."""
+    return type(x) is int and x >= 0
+
 _TOKEN_SPEC = [
     ("KLB", "k["),
     ("LAM", "\\"),

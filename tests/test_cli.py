@@ -220,6 +220,47 @@ def test_malformed_scripts_and_formula_files_exit_2(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+NOT_NATURALS = [2.7, True, "3", -1]
+
+
+@pytest.mark.parametrize("value", NOT_NATURALS)
+@pytest.mark.parametrize("option,make", [
+    ("--formula-file",
+     lambda v: {"f": {"rounds": v, "leadingForall": 0, "fn": DSL_ZERO}}),
+    ("--formula-file",
+     lambda v: {"f": {"rounds": 1, "leadingForall": v, "fn": DSL_ZERO}}),
+    ("--formula-file",
+     lambda v: {"f": {"rounds": 1, "fn": {"dsl": "zero", "arity": v}}}),
+    ("--abelard", lambda v: {"replies": [{**REPLY, "n": v}]}),
+    ("--abelard", lambda v: {"leading": [v], "replies": [REPLY]}),
+])
+def test_numbers_that_are_not_naturals_exit_2(capsys, tmp_path, option, make,
+                                              value):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(make(value)))
+    argv = ["match", "--game", "g1", "--realizer", "t_leq",
+            "--formula", "leq", "--abelard", "fresh", "--answers", "0",
+            option, str(path)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "natural number" in err
+
+
+def test_files_with_natural_numbers_still_load(capsys, tmp_path):
+    formulae = tmp_path / "formulae.json"
+    formulae.write_text(json.dumps({"f": {"rounds": 0, "leadingForall": 0,
+                                          "fn": {"dsl": "zero", "arity": 0}}}))
+    rc, out, _ = run_cli(capsys, "list", "--formula-file", str(formulae))
+    assert rc == 0 and "f: 0 leading foralls, 0 rounds" in out
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"leading": [], "replies": [
+        {**REPLY, "n": 0}, {**REPLY, "n": 7}]}))
+    rc, _, err = run_cli(capsys, "match", "--game", "g1", "--realizer",
+                         "t_leq", "--formula", "leq", "--abelard", str(script))
+    assert rc == 0 and err == ""
+
+
 def test_match_quantum_below_one_is_an_error_not_a_hang(capsys):
     for quantum in ("0", "-1"):
         rc, _, err = run_cli(capsys, "match", "--game", "g2",

@@ -482,12 +482,59 @@ def test_g1_universal_realizer_two_round_walk():
     assert complete == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
+# exists x1 forall y1 exists x2 forall y2 exists x3 forall y3 (x3 >= y1)
+THREE = ArithFormula("three", 0, 3, PrimRecFn(
+    "three_fn", 6, native=lambda x1, x2, x3, y1, y2, y3: 0 if x3 >= y1 else 1))
+
+
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+def test_universal_realizer_three_round_walk(play):
+    """Resumes at every depth of a three-round formula: moves on entries 0,
+    1, 2 and 4 come back to positions of depth 0, 1, 2 and 1."""
+    reg = full_registry()
+    out = play(reg, build_t_phi(reg, THREE), THREE, fresh_handle(reg),
+               FreshConstantAbelard(reg, [1, 2, 0, 2, 1, 0, 2, 2, 1, 0, 1,
+                                          2, 0, 0, 1, 2]))
+    assert_win_sound(out, THREE)
+    assert [(mv.entry_index, mv.m, mv.n) for mv in out.moves] == [
+        (0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 1, 2), (4, 0, 1), (5, 0, 0),
+        (1, 1, 2), (7, 0, 2), (0, 2, 1), (9, 0, 0), (10, 0, 1), (4, 1, 2),
+        (12, 0, 0), (2, 1, 0)]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_g1_universal_realizer_vs_random_abelard(seed):
     reg = full_registry()
     t_phi = build_t_phi(reg, LEQ)
     out = play_g1(reg, t_phi, LEQ, fresh_handle(reg),
                   RandomAbelard(reg, seed), total_budget=1_000_000)
+    assert_win_sound(out, LEQ)
+
+
+# Both seeds reply with a handle already in play, and t_phi_phi4 ends stuck
+# on a true formula in both games (ROADMAP item 1). The realizers are
+# exactly the winning strategies, so these must pass once that is mended;
+# strict, so that the mend cannot go unnoticed.
+REPEATED_HANDLE_SEEDS = [1226, 736660294]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="t_phi loses when Abelard reuses a handle in play")
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+@pytest.mark.parametrize("seed", REPEATED_HANDLE_SEEDS)
+def test_universal_realizer_wins_against_repeated_handles(play, seed):
+    reg = full_registry()
+    out = play(reg, build_t_phi(reg, PHI4), PHI4, fresh_handle(reg),
+               RandomAbelard(reg, seed))
+    assert_win_sound(out, PHI4)
+
+
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+@pytest.mark.parametrize("seed", REPEATED_HANDLE_SEEDS)
+def test_universal_leq_realizer_wins_against_repeated_handles(play, seed):
+    reg = full_registry()
+    out = play(reg, build_t_phi(reg, LEQ), LEQ, fresh_handle(reg),
+               RandomAbelard(reg, seed))
     assert_win_sound(out, LEQ)
 
 

@@ -1,13 +1,17 @@
 """The realizer library: contracts for every shipped term."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lamc.game
+import lamc.realizers
 from lamc.formula import ArithFormula, IDX_HALT3, IDX_LOOP, PrimRecFn, builtin_formulae
+from lamc.game import RandomAbelard, fresh_handle, play_g1, play_g2
 from lamc.machine import Machine, MachineConfig, run
 from lamc.realizers import (
     HistoryCell,
@@ -38,21 +42,29 @@ from lamc.realizers import (
 from lamc.syntax import (
     App,
     Bottom,
+    Bound,
     Cont,
     Const,
+    Lam,
     LamcError,
     PAIR_CONS,
     Process,
     Push,
     SUCC,
+    decode_nat_tuple,
     decode_numeral,
     encode_nat_tuple,
     numeral,
     parse_process,
     parse_term,
+    process_to_text,
     random_closed_term,
+    random_stack,
     term_to_text,
 )
+
+FORMULAE = builtin_formulae()
+PHI4 = FORMULAE["phi4"]
 
 
 def full_registry():
@@ -97,6 +109,67 @@ def test_check_identity_like_rejects_non_identity():
     reg = cc_registry()
     zero = numeral(0)
     assert not check_identity_like(zero, reg, trials=10, seed=3)
+
+
+def check_identity_like_by_trace(term, registry, trials, seed, budget):
+    """Reference: the same fuzz through run() and its whole trace."""
+    rng = random.Random(seed)
+    machine = Machine(registry)
+    for _ in range(trials):
+        u = random_closed_term(rng, registry)
+        pi = random_stack(rng, registry)
+        trace = run(machine, Process(term, Push(u, pi)), budget=budget)
+        if Process(u, pi) not in trace.steps:
+            return False
+    return True
+
+
+IDENTITY_REJECTS = {
+    "zero": numeral(0),
+    "self_app": SELF_APP,
+    "loop": App(SELF_APP, SELF_APP),
+    "second": Lam(Lam(Bound(0), "y"), "x"),
+    "ident_after_a_detour": App(App(IDENT, IDENT), App(IDENT, IDENT)),
+}
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 1, 2, 3, 4, 6, 50])
+def test_check_identity_like_agrees_with_the_trace_reference(budget):
+    reg = cc_registry()
+    terms = {**identity_like_family(reg), **IDENTITY_REJECTS}
+    verdicts = set()
+    for name, term in terms.items():
+        for seed in range(4):
+            want = check_identity_like_by_trace(term, reg, 20, seed, budget)
+            assert check_identity_like(term, reg, trials=20, seed=seed,
+                                       budget=budget) == want, (name, seed)
+            verdicts.add(want)
+    assert verdicts == ({False} if budget < 1 else {True, False})
+
+
+def test_check_identity_like_walks_at_most_budget_steps_per_trial(
+        monkeypatch):
+    steps = Counter()
+
+    class Counting(Machine):
+        def step_labeled(self, p):
+            steps["made"] += 1
+            return super().step_labeled(p)
+
+    monkeypatch.setattr(lamc.realizers, "Machine", Counting)
+    reg = cc_registry()
+    # the loop fails its first trial after 7 steps; ident passes each in 1
+    assert not check_identity_like(App(SELF_APP, SELF_APP), reg,
+                                   trials=5, budget=7)
+    assert steps["made"] == 7
+    steps.clear()
+    assert check_identity_like(IDENT, reg, trials=5, budget=7)
+    assert steps["made"] == 5
+
+
+def test_check_identity_like_wants_a_closed_term():
+    with pytest.raises(LamcError, match="closed"):
+        check_identity_like(Bound(0), cc_registry(), trials=1)
 
 
 def test_ident_via_restore_goes_through_the_saved_stack():
@@ -501,6 +574,169 @@ def test_t_phi_sticks_on_malformed_answer():
     tr2 = run(m, Process(handler, Push(bad, Push(c_a, Bottom("a1")))), budget=60)
     assert tr2.terminal.kind == "stuck"
     assert isinstance(tr2.steps[-1].term, Const)
+
+
+### the machine's tables of what t_phi's rules built
+
+class NeverRecords(Machine):
+    """A machine whose rules find nothing recorded: every tuple and history
+    is encoded afresh and decoded in full."""
+
+    def record(self, node, value):
+        return node
+
+    def nat_tuple_term(self, tup):
+        return encode_nat_tuple(tup)
+
+
+def table_size(machine):
+    return len(machine._values)
+
+
+T_PHI_FAMILIES = ("t_phi_", "T1_", "T2_", "N_", "L_", "next", "Theta_")
+
+
+def _replies_repeat_a_handle(seed, replies=12):
+    """Whether RandomAbelard(seed) hands out the root handle or one handle
+    twice among its first replies; its draws do not depend on the play."""
+    reg = full_registry()
+    handle = fresh_handle(reg)
+    adversary = RandomAbelard(reg, seed=seed, max_replies=replies)
+    seen = {handle}
+    for _ in range(replies):
+        _, u, pi = adversary(None)
+        if (u, pi) in seen:
+            return True
+        seen.add((u, pi))
+    return False
+
+
+# seeds 0-11 hold both kinds; 1226 and 736660294 reuse a handle and t_phi_phi4
+# loses on them
+TABLE_SEEDS = [*range(12), 1226, 736660294]
+
+
+def test_table_seeds_hold_screened_and_unscreened_adversaries():
+    repeats = [_replies_repeat_a_handle(seed) for seed in TABLE_SEEDS]
+    assert any(repeats) and not all(repeats[:12])
+    assert repeats[-2:] == [True, True]
+
+
+# a third round, so that turns and lookups run at every depth up to 2
+THREE = ArithFormula("three", 0, 3, PrimRecFn(
+    "three_fn", 6, native=lambda x1, x2, x3, y1, y2, y3: 0 if x3 >= y1 else 1))
+
+
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+@pytest.mark.parametrize("phi", [PHI4, FORMULAE["leq"], THREE],
+                         ids=lambda phi: phi.name)
+def test_tables_change_no_match(monkeypatch, play, phi):
+    def match(machine_class, seed):
+        monkeypatch.setattr(lamc.game, "Machine", machine_class)
+        reg = full_registry()
+        out = play(reg, build_t_phi(reg, phi), phi, fresh_handle(reg),
+                   RandomAbelard(reg, seed, max_move=2, max_replies=30)
+                   if phi is THREE else RandomAbelard(reg, seed))
+        return out.to_json(), out.witness_ref
+
+    for seed in TABLE_SEEDS:
+        assert match(Machine, seed) == match(NeverRecords, seed), seed
+
+
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+def test_tables_grow_only_with_t_phi_steps(monkeypatch, play):
+    """A t_phi step records the few tuples and the history node it builds
+    (the opening step three, a turn at most three: its prefix of the tuple,
+    the numbers answered and the new history); no other step records."""
+    machines = []
+
+    class Counting(Machine):
+        def __init__(self, registry):
+            super().__init__(registry)
+            self.t_phi_steps = 0
+            machines.append(self)
+
+        def step_labeled(self, p):
+            before = (table_size(self), len(self._tuple_terms))
+            out, label = super().step_labeled(p)
+            grown = table_size(self) - before[0]
+            assert len(self._tuple_terms) - before[1] <= grown
+            if label is not None and label.startswith(T_PHI_FAMILIES):
+                self.t_phi_steps += 1
+                assert grown <= 3, label
+            else:
+                assert grown == 0, label
+            return out, label
+
+    monkeypatch.setattr(lamc.game, "Machine", Counting)
+    for seed in TABLE_SEEDS:
+        reg = full_registry()
+        out = play(reg, resolve_realizer(reg, "t_phi_phi4", FORMULAE), PHI4,
+                   fresh_handle(reg), RandomAbelard(reg, seed))
+        machine = machines[-1]
+        assert out.moves and machine.t_phi_steps > 0
+        assert table_size(machine) <= 3 * machine.t_phi_steps
+        # every tuple is built once per match
+        assert len(machine._tuple_terms) == sum(
+            type(value) is tuple for _, value in machine._values.values())
+
+
+def test_foreign_tuples_decode_as_before_and_are_not_recorded():
+    reg = full_registry()
+    m = Machine(reg)
+    recorded = m.nat_tuple_term((1, 2))
+    assert m.nat_tuple(recorded) == (1, 2)
+    size = table_size(m)
+    foreign = [
+        encode_nat_tuple((1, 2)),
+        encode_nat_tuple(()),
+        parse_term(r"(\x y f. f x y) #1 ((\x y f. f x y) #2 (\x f. x))", reg),
+        parse_term(r"(\x y f. f x y) #1 (\x. x)", reg),
+        numeral(3),
+        IDENT,
+    ]
+    for t in foreign:
+        assert m.nat_tuple(t) == decode_nat_tuple(t)
+    assert foreign[0] == recorded and foreign[0] is not recorded
+    assert table_size(m) == size and len(m._tuple_terms) == 1
+
+
+def test_parsed_text_plays_as_the_recorded_terms_it_prints(monkeypatch):
+    """Drive t_phi_phi4 as in the enumeration test on two machines: one
+    runs the terms its rules built, the other each stage's process printed
+    and parsed back, so every tuple and history it meets is foreign. The
+    runs agree; only the second decodes a history."""
+    decoded = Counter()
+
+    def counted(t, _original=decode_history):
+        decoded["history"] += 1
+        return _original(t)
+
+    monkeypatch.setattr(lamc.realizers, "decode_history", counted)
+    reg = MachineConfig(inert_consts=("c_a", "c_b")).build()
+    t_phi = build_t_phi(reg, PHI4)
+    ours, theirs = Machine(reg), Machine(reg)
+    c_a, c_b = parse_term("c_a", reg), parse_term("c_b", reg)
+    p = Process(t_phi, Push(c_a, Bottom("a0")))
+    lookups = 0
+    for stage in range(7):
+        q = parse_process(process_to_text(p), reg)
+        assert q == p
+        decoded.clear()
+        mine = run(ours, p, budget=2000)
+        assert decoded["history"] == 0
+        other = run(theirs, q, budget=2000)
+        assert (other.steps, other.rules, other.terminal) == (
+            mine.steps, mine.rules, mine.terminal)
+        if "L_phi4" in mine.rules:
+            lookups += 1
+            assert decoded["history"] > 0, stage
+        handler = mine.steps[-1].stack.rest.top
+        history = handler.arg
+        assert ours.recorded(history) is not None
+        assert ours.nat_tuple(history) is None is decode_nat_tuple(history)
+        p = Process(handler, Push(numeral(2), Push(c_b, Bottom("a1"))))
+    assert lookups >= 3
 
 
 ### catalog
