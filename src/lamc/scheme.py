@@ -27,6 +27,7 @@ from .syntax import (
     Registry,
     Stack,
     Term,
+    _const_rewriter,
     is_closed,
     numeral,
     parse_term,
@@ -304,15 +305,17 @@ def replay_with_substitution(scheme: ThreadScheme,
     # Constant j, then its bottom, are replaced in the order of the
     # replacements, so an image is rewritten by every later replacement and
     # by no earlier one: compose the images once, from the last replacement
-    # back, and rewrite each line in one pass.
+    # back, and rewrite each line in one pass. The lines share their saved
+    # stacks, so they go through one rewrite, made once the images are final,
+    # and each shared node is rewritten once.
     terms: dict[str, Term] = {}
     stacks: dict[str, Stack] = {}
     for j, (u, pi) in reversed(replacements.items()):
         kname, aname = scheme.constant_names(j)
         stacks[aname] = subst_consts(pi, terms, stacks)
         terms[kname] = subst_consts(u, terms, stacks)
-    return [(subst_consts(line.start, terms, stacks),
-             subst_consts(line.end, terms, stacks)) for line in scheme.lines]
+    rewrite = _const_rewriter(terms, stacks)
+    return [(rewrite(line.start), rewrite(line.end)) for line in scheme.lines]
 
 
 def verify_replay(registry: Registry, scheme: ThreadScheme,

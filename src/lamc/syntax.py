@@ -11,6 +11,7 @@ application chain, not the beta normal form).
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable, Optional, Union
 
 ### tags used in hashes so different node kinds never collide
@@ -285,16 +286,21 @@ class Registry:
         self.rule_labels: dict[str, str] = {}
         self._quote_like: set[str] = set()
         self._fresh_counters: dict[str, int] = {}
+        # kept as declared, for the random generators to draw from
+        self.inert_names: list[str] = []            # in declaration order
+        self.stack_names: list[str] = []            # sorted
 
     # declaration
     def declare_inert(self, name: str) -> str:
         self._check_new(name)
         self.terms[name] = ConstantDecl(name, _INERT)
+        self.inert_names.append(name)
         return name
 
     def declare_stack(self, name: str) -> str:
         self._check_new(name)
         self.stacks[name] = ConstantDecl(name, _INERT)
+        bisect.insort(self.stack_names, name)
         return name
 
     def install_instruction(self, name: str, rule: Callable, quote_like: bool = False,
@@ -463,16 +469,37 @@ def decode_nat_tuple(t: Term) -> Optional[tuple[int, ...]]:
 
 ### one rebuilding walk and one name fold, both with an explicit stack
 
-def _rewrite(root: Node, visit: Callable[[Node, int], Optional[Node]]) -> Node:
+def _rewrite(root: Node, visit: Callable[[Node, int], Optional[Node]],
+             memo: Optional[dict[int, tuple[Node, Node]]] = None) -> Node:
     """Rebuild a tree bottom-up without recursion.
 
     visit(node, depth) gives the node's image, or None to rebuild the node
     from the images of its children; depth counts the Lam binders above the
     node. A node whose children all come back unchanged is returned as is,
     so untouched subtrees stay shared.
+
+    With a memo, each node that visit leaves to be rebuilt is rebuilt once:
+    memo maps id(node) to (node, image), holding the node so that its id is
+    not reused while the memo lives, and a node met again, in this walk or a
+    later one through the same memo, takes its recorded image. A memo is
+    only sound for a visit that ignores depth. Without one, the walk does no
+    extra work per node.
     """
     done: list[Node] = []
-    todo: list[tuple[Node, int]] = [(root, 0)]
+    todo: list[tuple[object, int]] = [(root, 0)]
+    if memo is not None:
+        plain = visit
+
+        def visit(node: Node, depth: int) -> Optional[Node]:
+            image = plain(node, depth)
+            if image is None:
+                hit = memo.get(id(node))
+                if hit is not None:
+                    return hit[1]
+                # popped right after the node's own rebuild
+                todo.append(((node,), -1))
+            return image
+
     while todo:
         node, depth = todo.pop()
         kind = type(node)
@@ -491,10 +518,14 @@ def _rewrite(root: Node, visit: Callable[[Node, int], Optional[Node]]) -> Node:
             elif kind is Cont:
                 s = done.pop()
                 done.append(node if s is node.stack else Cont(s))
-            else:
+            elif kind is Process:
                 st, tm = done.pop(), done.pop()
                 done.append(node if (tm is node.term and st is node.stack)
                             else Process(tm, st))
+            else:
+                # (source,), pushed by the memo: source's image is on top
+                source = node[0]
+                memo[id(source)] = (source, done[-1])
             continue
         image = visit(node, depth)
         if image is not None:
@@ -571,11 +602,11 @@ def subst_var(t: Term, x: str, u: Term) -> Term:
     return _rewrite(t, visit)
 
 
-def subst_consts(t: Union[Term, Stack, Process], terms: dict[str, Term],
-                 stacks: dict[str, Stack]):
-    """Replace every term constant named in terms and every stack constant
-    named in stacks with its closed image, all at once, inside k[pi] too.
-    The images are not rewritten again."""
+def _const_rewriter(terms: dict[str, Term], stacks: dict[str, Stack]
+                    ) -> Callable[[Node], Node]:
+    """The rewrite that subst_consts does, for any number of roots: all share
+    one memo, so a node shared within or across roots is rewritten once and
+    has one image. The dicts must not change while the rewrite is in use."""
     if not all(map(is_closed, terms.values())):
         raise LamcError("substituting an open term for a constant")
     if not all(map(is_closed, stacks.values())):
@@ -590,7 +621,16 @@ def subst_consts(t: Union[Term, Stack, Process], terms: dict[str, Term],
             return stacks.get(node.name, node)
         return None
 
-    return _rewrite(t, visit)
+    memo: dict[int, tuple[Node, Node]] = {}
+    return lambda t: _rewrite(t, visit, memo)
+
+
+def subst_consts(t: Union[Term, Stack, Process], terms: dict[str, Term],
+                 stacks: dict[str, Stack]):
+    """Replace every term constant named in terms and every stack constant
+    named in stacks with its closed image, all at once, inside k[pi] too.
+    The images are not rewritten again, and a shared node is rewritten once."""
+    return _const_rewriter(terms, stacks)(t)
 
 
 def subst_const(t: Union[Term, Stack, Process], c: str, u: Term):
@@ -677,7 +717,7 @@ def pop_items(s: Stack, n: int) -> Optional[tuple[list[Term], Stack]]:
 def random_closed_term(rng, registry: Registry, max_depth: int = 4,
                        include_consts: bool = True, allow_cont: bool = False) -> Term:
     """A random closed term; deterministic for a given rng state."""
-    inert = [n for n, d in registry.terms.items() if d.kind == "inert"]
+    inert = registry.inert_names
 
     def leaf(scope: int) -> Term:
         choices = ["id", "numeral"]
@@ -714,7 +754,7 @@ def random_stack(rng, registry: Registry, max_depth: int = 3,
     """A random stack of closed terms over a declared stack constant."""
     if not registry.stacks:
         raise LamcError("random_stack wants at least one declared stack constant")
-    bottom = Bottom(rng.choice(sorted(registry.stacks)))
+    bottom = Bottom(rng.choice(registry.stack_names))
     s: Stack = bottom
     for _ in range(rng.randrange(max_items + 1)):
         s = Push(random_closed_term(rng, registry, max_depth=max_depth), s)

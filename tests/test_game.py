@@ -1,6 +1,7 @@
 """Referee tests: move detection, the three games, adversaries, replays."""
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -49,13 +50,16 @@ from lamc.realizers import (
 from lamc.syntax import (
     App,
     Bottom,
+    Bound,
     Const,
     Cont,
+    Lam,
     LamcError,
     Process,
     Push,
     numeral,
     parse_term,
+    random_closed_term,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -772,6 +776,72 @@ def test_fresh_constant_abelard_mints_new_handles():
     assert r1[0] == 3 and r2[0] == 1
     assert r1[1] != r2[1] and r1[2] != r2[2]
     assert reg.is_term_name(r1[1].name) and reg.is_stack_name(r1[2].name)
+
+
+def random_closed_term_by_scan(rng, registry, max_depth=4, allow_cont=False):
+    """random_closed_term as it was when it rescanned the declarations on
+    every call: the reference for the registry's kept name lists."""
+    inert = [n for n, d in registry.terms.items() if d.kind == "inert"]
+
+    def leaf(scope):
+        choices = ["id", "numeral"]
+        if scope > 0:
+            choices.extend(["bound", "bound"])
+        if inert:
+            choices.append("const")
+        pick = rng.choice(choices)
+        if pick == "bound":
+            return Bound(rng.randrange(scope))
+        if pick == "const":
+            return Const(rng.choice(inert))
+        if pick == "numeral":
+            return numeral(rng.randrange(4))
+        return Lam(Bound(0), "x")
+
+    def go(depth, scope):
+        if depth <= 0:
+            return leaf(scope)
+        pick = rng.randrange(10)
+        if pick < 4:
+            return Lam(go(depth - 1, scope + 1), "x")
+        if pick < 8:
+            return App(go(depth - 1, scope), go(depth - 1, scope))
+        if pick == 8 and allow_cont and registry.stacks:
+            return Cont(random_stack_by_scan(rng, registry, max_depth=depth - 1))
+        return leaf(scope)
+
+    return go(max_depth, 0)
+
+
+def random_stack_by_scan(rng, registry, max_depth=3, max_items=3):
+    s = Bottom(rng.choice(sorted(registry.stacks)))
+    for _ in range(rng.randrange(max_items + 1)):
+        s = Push(random_closed_term_by_scan(rng, registry, max_depth=max_depth), s)
+    return s
+
+
+def test_random_abelard_draws_as_the_declaration_scan_did():
+    # 300 minted handles, each one more inert constant and stack bottom, put
+    # alpha10 before alpha2 in sorted order and the kappas after the
+    # machine's own constants in declaration order
+    reg = full_registry()
+    handles = [fresh_handle(reg) for _ in range(300)]
+    assert reg.inert_names == [n for n, d in reg.terms.items() if d.kind == "inert"]
+    assert reg.stack_names == sorted(reg.stacks)
+    ctx = MoveContext(LEQ, HistoryEntry((), (), IDENT, handles[0][1]), 0, 0,
+                      IDENT, 0)
+    for seed in range(20):
+        abelard = RandomAbelard(reg, seed)
+        rng = random.Random(seed)
+        for _ in range(10):
+            want = (rng.randint(0, 6), random_closed_term_by_scan(rng, reg),
+                    random_stack_by_scan(rng, reg))
+            assert abelard(ctx) == want
+        # terms that hold saved stacks draw from both lists in one call
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            assert random_closed_term(got, reg, allow_cont=True) == \
+                random_closed_term_by_scan(want, reg, allow_cont=True)
 
 
 def test_load_abelard_script_roundtrip(tmp_path):

@@ -300,16 +300,12 @@ def test_replay_rejects_an_open_replacement_stack():
                                        1: (numeral(1), open_stack)})
 
 
-def schemes():
-    """The seven-line figure, the one-round toy and ten seeded scripted trees
-    that extract, each with its registry."""
-    out = [figure_scheme()]
-    reg = MachineConfig().build()
-    toy = parse_term("\\u. u #0 (\\n v. v)", reg)
-    out.append((reg, extract_scheme(toy, [4], LEQ, registry=reg)))
-    rng = random.Random(5)
-    while len(out) < 12:
-        k = rng.randint(1, 6)
+def scripted_schemes(rng, count, least, most):
+    """count seeded scripted trees that extract, each of least to most
+    interactions."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(least, most)
         parents = [0] + [rng.randrange(i + 1) for i in range(1, k)]
         reg = MachineConfig().build()
         mock = build_scripted_realizer(parents, [rng.randrange(4) for _ in parents],
@@ -321,6 +317,19 @@ def schemes():
     return out
 
 
+def schemes():
+    """The seven-line figure, the one-round toy, ten seeded scripted trees of
+    1-6 interactions and three of 12-20, each with its registry. The large
+    trees' lines share their saved stacks many times over."""
+    out = [figure_scheme()]
+    reg = MachineConfig().build()
+    toy = parse_term("\\u. u #0 (\\n v. v)", reg)
+    out.append((reg, extract_scheme(toy, [4], LEQ, registry=reg)))
+    out += scripted_schemes(random.Random(5), 10, 1, 6)
+    out += scripted_schemes(random.Random(12), 3, 12, 20)
+    return out
+
+
 def test_replay_agrees_with_the_sequential_reference():
     # replacements are drawn from the scheme's own registry, so their terms
     # and stacks mention other interaction constants and bottoms: constant j
@@ -328,7 +337,8 @@ def test_replay_agrees_with_the_sequential_reference():
     for i, (reg, res) in enumerate(schemes()):
         rng = random.Random(i)
         count = len(res.lines)
-        for _ in range(50):
+        # the reference and == walk the large trees' lines as trees
+        for _ in range(50 if count < 12 else 10):
             chosen = rng.sample(range(count), rng.randint(1, count))
             replacements = {j: (random_closed_term(rng, reg, allow_cont=True),
                                 random_stack(rng, reg)) for j in chosen}
@@ -337,6 +347,37 @@ def test_replay_agrees_with_the_sequential_reference():
             assert got == want
             assert [(process_to_text(a), process_to_text(b)) for a, b in got] == \
                 [(process_to_text(a), process_to_text(b)) for a, b in want]
+
+
+def test_replay_rewrites_a_node_that_lines_share_once():
+    # every constant and bottom is replaced, so each node that mentions one
+    # is rebuilt; walk each line beside its image and collect, per source
+    # node, the images it got and the lines it occurs in
+    shared_and_rebuilt = 0
+    for i, (reg, res) in enumerate(schemes()):
+        rng = random.Random(i)
+        replacements = {j: (random_closed_term(rng, reg, allow_cont=True),
+                            random_stack(rng, reg)) for j in range(len(res.lines))}
+        images, lines = {}, {}
+        for n, (line, pair) in enumerate(zip(res.lines,
+                                             replay_with_substitution(res, replacements))):
+            todo = list(zip((line.start, line.end), pair))
+            seen = set()
+            while todo:
+                src, img = todo.pop()
+                if (id(src), id(img)) in seen:
+                    continue
+                seen.add((id(src), id(img)))
+                images.setdefault(id(src), set()).add(id(img))
+                lines.setdefault(id(src), set()).add(n)
+                if img is not src and not isinstance(src, (Const, Bottom)):
+                    fields = [f for f in ("body", "fn", "arg", "stack", "top", "rest",
+                                          "term") if hasattr(src, f)]
+                    todo += [(getattr(src, f), getattr(img, f)) for f in fields]
+        assert all(len(ids) == 1 for ids in images.values())
+        shared_and_rebuilt += sum(1 for key, ns in lines.items()
+                                  if len(ns) > 1 and images[key] != {key})
+    assert shared_and_rebuilt > 100
 
 
 def test_schemes_keep_the_play_tree_invariant():

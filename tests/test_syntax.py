@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,48 @@ def test_name_fold_agrees_with_the_unpruned_collector(block):
             assert _Printer(node).reserved == ref.names_in_tree(node)
             assert collect_constants(node) == ref.names_in_tree(node, Const)
             assert collect_stack_constants(node) == ref.names_in_tree(node, Bottom)
+
+
+### substitution on shared saved stacks
+
+def saved_chain(n):
+    """n levels of a stack saved on top of itself, s' = k[s] . s: 2^n paths
+    through n + 3 distinct nodes."""
+    s = Push(Const("c_a"), Bottom("a0"))
+    for _ in range(n):
+        s = Push(Cont(s), s)
+    return s
+
+
+def distinct_nodes(node):
+    seen, todo = {}, [node]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            todo += [getattr(n, f) for f in ("body", "fn", "arg", "stack", "top",
+                                             "rest", "term") if hasattr(n, f)]
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 60])
+def test_substitution_rewrites_each_shared_saved_stack_once(n):
+    s = saved_chain(n)
+    for fn, reference, name, image in (
+            (subst_const, ref.subst_const, "c_a", numeral(2)),
+            (subst_stack_const, ref.subst_stack_const, "a0",
+             Push(Const("c_a"), Bottom("a1")))):
+        for source in (s, Cont(s)):
+            start = time.perf_counter()
+            out = fn(source, name, image)
+            assert time.perf_counter() - start < 1
+            assert distinct_nodes(out) <= distinct_nodes(source) + distinct_nodes(image)
+            level = out.stack if isinstance(out, Cont) else out
+            for _ in range(n):
+                assert level.top.stack is level.rest
+                level = level.rest
+            if n <= 10:     # the reference and == walk all 2^n paths
+                assert_agrees(out, reference(source, name, image), source)
 
 
 ### depth 10^4, at Python's default recursion limit
