@@ -46,9 +46,7 @@ from .machine import (
     Machine,
     MachineConfig,
     Terminal,
-    Trace,
     run,
-    settle,
 )
 from .formula import (
     ArithFormula,
@@ -111,7 +109,7 @@ __all__ = [
     "process_to_text", "stack_to_text", "subst_const",
     "subst_stack_const", "subst_var", "term_to_text",
     # machine
-    "Machine", "MachineConfig", "Terminal", "Trace", "run", "settle",
+    "Machine", "MachineConfig", "Terminal", "run",
     # formula
     "ArithFormula", "PrimRecFn", "TuringMachineTable", "builtin_formulae",
     "decode_table", "encode_table", "eval_fn", "halt_predicate",

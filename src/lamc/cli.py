@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .formula import ArithFormula, load_formula_registry, truth_oracle_g0
@@ -29,7 +30,7 @@ from .game import (
     play_g1,
     play_g2,
 )
-from .machine import Machine, MachineConfig, Terminal, run, settle
+from .machine import Machine, MachineConfig, Terminal, run, walk
 from .realizers import realizer_catalog, resolve_realizer
 from .scheme import build_scripted_realizer, extract_scheme
 from .syntax import (
@@ -123,20 +124,28 @@ def cmd_eval(args) -> int:
     registry = _full_registry() if args.registry == "full" else _plain_registry()
     process = parse_process(args.process, registry)
     budget = args.steps if args.steps is not None else _steps_default(10_000)
+    machine = Machine(registry)
+    steps, last, terminal = run(machine, process, budget=budget)
     if not (args.json or args.trace):
-        steps, last, terminal = settle(Machine(registry), process, budget=budget)
         print(f"after {steps} steps: {process_to_text(last)}")
         print(f"terminal: {terminal.describe()}")
         return 0
-    trace = run(Machine(registry), process, budget=budget)
-    if args.json:
-        print(_dumps({
-            "steps": [process_to_text(p) for p in trace.steps],
-            "rules": trace.rules,
-            "terminal": _terminal_json(trace.terminal),
-        }))
-    else:
-        print(trace.to_text())
+    # Walk the run again on the same machine, which already holds every
+    # quote code it meets, and print each configuration as it comes.
+    if args.trace:
+        for i, (p, _) in enumerate(islice(walk(machine, process), steps + 1)):
+            print(f"step {i}: {process_to_text(p)}")
+        print(f"terminal: {terminal.describe()}")
+        return 0
+    # _dumps of {"rules", "steps", "terminal"}, one list item at a time
+    print('{\n  "rules": [', end="")
+    for i, (_, rule) in enumerate(islice(walk(machine, process), steps + 1)):
+        print(f'{"," if i else ""}\n    {json.dumps(rule)}', end="")
+    print('\n  ],\n  "steps": [', end="")
+    for i, (p, _) in enumerate(islice(walk(machine, process), steps + 1)):
+        print(f'{"," if i else ""}\n    {json.dumps(process_to_text(p))}', end="")
+    terminal_json = _dumps(_terminal_json(terminal)).replace("\n", "\n  ")
+    print(f'\n  ],\n  "terminal": {terminal_json}\n}}')
     return 0
 
 

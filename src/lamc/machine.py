@@ -8,7 +8,7 @@ are installed in the registry: quote (codes the current stack as a numeral,
 interned first-seen per machine), eq (branch on alpha equality of two stack
 items) and eq_nat (branch on equality of two literal numerals). Every rule
 has at most one successor, so a run is a sequence: walk() yields it lazily,
-and run() and settle() decide where it ends.
+and run() decides where it ends, holding O(1) configurations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .syntax import (
     App,
@@ -36,10 +36,7 @@ from .syntax import (
     is_closed,
     numeral,
     pop_items,
-    process_to_text,
-    stack_to_text,
     subst_bound0,
-    term_to_text,
 )
 
 ### step results
@@ -194,55 +191,14 @@ class MachineConfig:
 class Terminal:
     """Why a run stopped."""
 
-    kind: str  # "stuck" | "budget" | "cycle" | "watcher"
+    kind: str  # "stuck" | "budget" | "cycle"
     entry: int = 0      # cycle: index of the first repeated configuration
     period: int = 0     # cycle: distance back to it
-    watcher: int = -1   # watcher: which watcher fired
-    at: int = -1        # watcher: configuration index it fired on
 
     def describe(self) -> str:
         if self.kind == "cycle":
             return f"cycle(entry={self.entry}, period={self.period})"
-        if self.kind == "watcher":
-            return f"watcher({self.watcher} at step {self.at})"
         return self.kind
-
-
-@dataclass
-class Trace:
-    """Visited configurations, the rule that produced each, and the terminal."""
-
-    steps: list[Process]
-    rules: list[Optional[str]]
-    terminal: Terminal
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def to_text(self) -> str:
-        lines = [f"step {i}: {process_to_text(p)}" for i, p in enumerate(self.steps)]
-        lines.append(f"terminal: {self.terminal.describe()}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "step": i,
-                    "head": term_to_text(p.term),
-                    "stack": stack_to_text(p.stack),
-                    "rule": self.rules[i],
-                }
-                for i, p in enumerate(self.steps)
-            ],
-            "terminal": {
-                "kind": self.terminal.kind,
-                **({"entry": self.terminal.entry, "period": self.terminal.period}
-                   if self.terminal.kind == "cycle" else {}),
-                **({"watcher": self.terminal.watcher, "at": self.terminal.at}
-                   if self.terminal.kind == "watcher" else {}),
-            },
-        }
 
 
 def walk(machine: Machine, p: Process) -> Iterator[tuple[Process, Optional[str]]]:
@@ -259,38 +215,13 @@ def walk(machine: Machine, p: Process) -> Iterator[tuple[Process, Optional[str]]
         p = out
 
 
-def run(machine: Machine, p: Process, budget: int = 10_000,
-        watchers: Sequence[Callable[[Process], bool]] = ()) -> Trace:
-    """Drive p deterministically until stuck, cycling, out of budget, or watched.
-
-    Watchers see every configuration including the initial one; the first hit
-    stops the run. The budget is checked after the cycle test on each
-    configuration, so a budget below 0 stops at index 0 like 0 does.
-    """
-    if not is_closed(p):
-        raise LamcError("run wants a closed process")
-    steps: list[Process] = []
-    rules: list[Optional[str]] = []
-    seen: dict[Process, int] = {}
-    for idx, (current, rule) in enumerate(walk(machine, p)):
-        steps.append(current)
-        rules.append(rule)
-        for wi, watcher in enumerate(watchers):
-            if watcher(current):
-                return Trace(steps, rules, Terminal("watcher", watcher=wi, at=idx))
-        prev = seen.get(current)
-        if prev is not None:
-            return Trace(steps, rules, Terminal("cycle", entry=prev, period=idx - prev))
-        seen[current] = idx
-        if idx >= budget:
-            return Trace(steps, rules, Terminal("budget"))
-    return Trace(steps, rules, Terminal("stuck"))
-
-
-def settle(machine: Machine, p: Process,
-           budget: int = 10_000) -> tuple[int, Process, Terminal]:
-    """Where run(machine, p, budget) ends, without its trace or seen dict:
-    (len(trace.steps) - 1, trace.steps[-1], trace.terminal).
+def run(machine: Machine, p: Process,
+        budget: int = 10_000) -> tuple[int, Process, Terminal]:
+    """Where the deterministic run of p ends: (steps, last configuration,
+    Terminal). The run stops at the first configuration that repeats an
+    earlier one (a cycle from the earlier index, reported on the repeat),
+    else at index budget (a budget stop), else where the machine is stuck.
+    walk(machine, p) limited to steps + 1 configurations replays it.
 
     Up to index budget a Brent tortoise (R. P. Brent, BIT 20, 1980), moved
     to the current configuration whenever the distance to it reaches a power
@@ -302,10 +233,10 @@ def settle(machine: Machine, p: Process,
     p recovers the entry with two walkers one period apart; they step
     entry + period and entry times on the same machine, whose quote table
     already holds every code they meet. An error that an installed rule
-    raises past the budget ends the search, since run() never steps there;
+    raises past the budget ends the search, since the run never steps there;
     codes of stacks quoted past the budget stay in the machine's table. A
-    budget below 0 acts as 0, where run() stops too; one above sys.maxsize
-    acts as sys.maxsize, which no run reaches.
+    budget below 0 acts as 0; one above sys.maxsize acts as sys.maxsize,
+    which no run reaches.
     """
     if not is_closed(p):
         raise LamcError("run wants a closed process")

@@ -349,9 +349,6 @@ class Registry:
             return d.kind == _INERT
         return name in self.stacks
 
-    def all_names(self) -> set[str]:
-        return set(self.terms) | set(self.stacks)
-
 
 def fresh_constants(registry: Registry, count: int, kind: str = "term",
                     prefix: Optional[str] = None) -> list[str]:
@@ -361,12 +358,11 @@ def fresh_constants(registry: Registry, count: int, kind: str = "term",
     if prefix is None:
         prefix = "c" if kind == "term" else "a"
     out = []
-    taken = registry.all_names()
     i = registry._fresh_counters.get(prefix, 0)
     while len(out) < count:
         name = f"{prefix}{i}"
         i += 1
-        if name in taken:
+        if name in registry.terms or name in registry.stacks:
             continue
         if kind == "term":
             registry.declare_inert(name)

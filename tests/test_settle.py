@@ -1,6 +1,8 @@
-"""settle(): where run() ends, from O(1) configurations.
+"""run() (named settle() while a recording run() lived beside it): where a
+run ends, from O(1) configurations.
 
-The recording run() is the reference: settle(m, p, budget) must give
+The recording run() of tests/trace_reference.py is the reference:
+lamc.machine.run(m, p, budget) must give
 (len(trace.steps) - 1, trace.steps[-1], trace.terminal) for every process
 and budget, compared through the printer so that binder hints count.
 """
@@ -10,8 +12,9 @@ import tracemalloc
 
 import pytest
 
+import trace_reference
 from lamc.cli import _full_registry, _plain_registry
-from lamc.machine import Machine, MachineConfig, run, settle
+from lamc.machine import Machine, MachineConfig, run
 from lamc.syntax import (
     App,
     Bound,
@@ -36,14 +39,14 @@ INSTRUCTIONS = {"c_a": Const("quote"), "c_b": Const("eq"),
 SELF_APP = App(Bound(0), Bound(0))
 
 
-def run_end(reg, p, budget):
-    trace = run(Machine(reg), p, budget=budget)
+def reference_end(reg, p, budget):
+    trace = trace_reference.run(Machine(reg), p, budget=budget)
     return (len(trace.steps) - 1, process_to_text(trace.steps[-1]),
             trace.terminal)
 
 
-def settle_end(reg, p, budget):
-    steps, last, terminal = settle(Machine(reg), p, budget=budget)
+def run_end(reg, p, budget):
+    steps, last, terminal = run(Machine(reg), p, budget=budget)
     return steps, process_to_text(last), terminal
 
 
@@ -78,15 +81,15 @@ def test_settle_agrees_with_run_on_random_processes(name):
         reg = REGISTRIES[name]()
         p = random_process(rng, reg, name == "full")
         for budget in BUDGETS:
-            want = run_end(reg, p, budget)
-            assert settle_end(reg, p, budget) == want, \
+            want = reference_end(reg, p, budget)
+            assert run_end(reg, p, budget) == want, \
                 (process_to_text(p), budget)
             kinds.add(want[2].kind)
         # a run that ends within 64 steps ends there at any larger budget;
         # one that does not would never end at HUGE_BUDGET
         if want[2].kind != "budget":
-            assert settle_end(reg, p, HUGE_BUDGET) == \
-                run_end(reg, p, HUGE_BUDGET), process_to_text(p)
+            assert run_end(reg, p, HUGE_BUDGET) == \
+                reference_end(reg, p, HUGE_BUDGET), process_to_text(p)
     assert kinds == {"stuck", "cycle", "budget"}
 
 
@@ -124,37 +127,37 @@ def test_settle_on_cycles_closing_next_to_the_budget(budget, wrap, full,
         prefix = closes - period - entry0
         reg = _full_registry() if full else _plain_registry()
         p = parse_process(looping(prefix, wrap, full), reg)
-        want = run_end(reg, p, budget)
+        want = reference_end(reg, p, budget)
         if closes <= budget:
             assert (want[0], want[2].entry, want[2].period) == \
                 (closes, closes - period, period)
         else:
             assert (want[0], want[2].kind) == (budget, "budget")
-        assert settle_end(reg, p, budget) == want
+        assert run_end(reg, p, budget) == want
 
 
 def test_settle_reports_the_closing_configuration_with_its_own_hints():
     reg = _full_registry()
     p = parse_process(r"(\x. x x) (\y. y y) * a0", reg)
     for budget in (2, 10_000):
-        steps, last, terminal = settle(Machine(reg), p, budget=budget)
+        steps, last, terminal = run(Machine(reg), p, budget=budget)
         assert (steps, process_to_text(last), terminal.describe()) == \
             (2, r"((\y. y y) (\y. y y)) * a0", "cycle(entry=0, period=2)")
-    steps, last, terminal = settle(Machine(reg), p, budget=1)
+    steps, last, terminal = run(Machine(reg), p, budget=1)
     assert (steps, terminal.kind) == (1, "budget")
 
 
 def test_settle_ignores_a_fork_past_the_budget():
     """An installed rule that raises, met one step past the budget, is never
-    reached by run(); settle's search past the budget stops there too."""
+    reached by the reference; run's search past the budget stops there too."""
     def fail(machine, s):
         raise LamcError("fail fired")
 
     reg = MachineConfig().build()
     reg.install_instruction("fail", fail)
     p = parse_process(r"(\y. fail) * (\z. z) . (\z. z) . (\z. z) . a0", reg)
-    assert settle_end(reg, p, 1) == run_end(reg, p, 1)
-    for fn in (run, settle):
+    assert run_end(reg, p, 1) == reference_end(reg, p, 1)
+    for fn in (trace_reference.run, run):
         with pytest.raises(LamcError, match="fail fired"):
             fn(Machine(reg), p, budget=2)
 
@@ -162,7 +165,7 @@ def test_settle_ignores_a_fork_past_the_budget():
 def test_settle_requires_a_closed_process():
     reg = _plain_registry()
     with pytest.raises(LamcError, match="closed"):
-        settle(Machine(reg), Process(Bound(0), parse_process("c_a * a0", reg).stack))
+        run(Machine(reg), Process(Bound(0), parse_process("c_a * a0", reg).stack))
 
 
 class CountingMachine(Machine):
@@ -184,12 +187,12 @@ def test_settle_steps_at_most_twice_the_budget_plus_the_replay(budget):
     reg = _plain_registry()
     grow = parse_process(r"(\x. x x (\y. y)) (\x. x x (\y. y)) * a0", reg)
     machine = CountingMachine(reg)
-    assert settle(machine, grow, budget=budget)[0] == budget
+    assert run(machine, grow, budget=budget)[0] == budget
     assert machine.calls == 2 * budget
     for prefix in (0, budget // 2, budget - 3, budget - 1, budget + 1):
         p = parse_process(looping(prefix, r"(\y. y) (x x)"), reg)
         machine = CountingMachine(reg)
-        settle(machine, p, budget=budget)
+        run(machine, p, budget=budget)
         entry, period = prefix + 1, 4
         replay = 2 * entry + period if max(entry, period) <= budget else 0
         assert machine.calls <= 2 * budget + replay
@@ -217,16 +220,16 @@ def traced_peak(fn, *args):
 
 
 def test_settle_memory_does_not_grow_with_the_run():
-    """settle's traced peak stays under one bound at product N and 4N;
-    run() passes that bound already at N."""
+    """run's traced peak stays under one bound at product N and 4N; the
+    recording reference passes that bound already at N."""
     for a, b in ((10, 10), (20, 20)):
         reg, p = storage_eval(a, b)
-        (steps, last, terminal), peak = traced_peak(settle, Machine(reg), p,
+        (steps, last, terminal), peak = traced_peak(run, Machine(reg), p,
                                                    10**6)
         assert (process_to_text(last), terminal.kind) == \
             (f"c_a * #{a * b} . a0", "stuck")
         assert steps > 1000
         assert peak < PEAK_BOUND, (a * b, peak)
     reg, p = storage_eval(10, 10)
-    _, peak = traced_peak(run, Machine(reg), p, 10**6)
+    _, peak = traced_peak(trace_reference.run, Machine(reg), p, 10**6)
     assert peak > PEAK_BOUND

@@ -528,6 +528,13 @@ def test_fresh_constants_mint_unique(base_reg):
     assert base_reg.is_stack_name("alpha0")
 
 
+def test_fresh_constants_skip_names_taken_in_the_other_namespace(base_reg):
+    base_reg.declare_stack("c0")
+    assert fresh_constants(base_reg, 1, "term", prefix="c") == ["c1"]
+    # the default stack constants are a0-a3
+    assert fresh_constants(base_reg, 1, "stack") == ["a4"]
+
+
 def test_substitutive_flag_depends_on_quote_like(base_reg, full_reg):
     assert base_reg.is_substitutive("c_a")
     assert base_reg.is_substitutive("a0")
