@@ -2,12 +2,14 @@
 
 The abstract game moves numbers only. The single-thread game runs one machine
 process and watches every configuration for move shapes against the recorded
-history. The multi-thread game keeps every position's full trace alive, so a
-configuration visited long ago may still fire when the history grows, which is
-what lets a realizer win there by having already visited the right
-configuration. Its referee matches incrementally: each configuration is
-matched against the history once, when it is reached, and each history entry
-against the traces once, when it is recorded.
+history. It holds only the live configuration: its loop test keeps hashes,
+confirmed by a replay of the phase, and each phase's segment replays the
+phase when first read. The multi-thread game keeps every position's full
+trace alive, so a configuration visited long ago may still fire when the
+history grows, which is what lets a realizer win there by having already
+visited the right configuration. Its referee matches incrementally: each
+configuration is matched against the history once, when it is reached, and
+each history entry against the traces once, when it is recorded.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .formula import ArithFormula, truth_oracle_g0
 from .machine import Machine, walk
@@ -282,7 +286,7 @@ class MatchOutcome:
     detail: str
     history: History
     moves: list[MoveRecord]
-    segments: list[list[tuple[Process, Optional[str]]]]
+    segments: list[Sequence[tuple[Process, Optional[str]]]]
     witness_entry: Optional[int] = None
     witness_ref: Optional[tuple[int, int]] = None
     total_steps: int = 0
@@ -290,12 +294,6 @@ class MatchOutcome:
     @property
     def eloise_won(self) -> bool:
         return self.verdict == "EloiseWin"
-
-    def rules_flat(self) -> list[Optional[str]]:
-        return [rule for seg in self.segments for (_, rule) in seg]
-
-    def configs_flat(self) -> list[Process]:
-        return [p for seg in self.segments for (p, _) in seg]
 
     def to_json(self) -> dict:
         return {
@@ -350,11 +348,33 @@ def _initial_process(realizer: Term, handle: tuple[Term, Stack],
 
 ### the single-thread game
 
+class _Phase(Sequence):
+    """One phase of a single-thread match as (configuration, rule) pairs: the
+    walk from start, steps long. Its length needs no replay; the first read
+    replays the walk on the match's machine, whose quote table already holds
+    every code that the replay meets, and keeps it."""
+
+    def __init__(self, machine: Machine, start: Process, steps: int):
+        self._machine, self._start, self._steps = machine, start, steps
+
+    @cached_property
+    def _configs(self) -> list[tuple[Process, Optional[str]]]:
+        return list(islice(walk(self._machine, self._start), self._steps + 1))
+
+    def __len__(self) -> int:
+        return self._steps + 1
+
+    def __getitem__(self, i):
+        return self._configs[i]
+
+
 def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
             handle: tuple[Term, Stack], abelard: AbelardStrategy,
             leading: Sequence[int] = (), phase_budget: int = 10_000,
             total_budget: int = 1_000_000) -> MatchOutcome:
-    """One live process; a detected play abandons its continuation."""
+    """One live process; a detected play abandons its continuation. A hash
+    met again in a phase is confirmed by replaying the phase, so a loop ends
+    it at its first repeat and a hash collision costs one replay."""
     _check_match_inputs(registry, realizer, phi, handle, leading)
     machine = Machine(registry)
     history = History(phi.rounds)
@@ -363,21 +383,21 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
 
     p = _initial_process(realizer, handle, leading)
     moves: list[MoveRecord] = []
-    segments: list[list[tuple[Process, Optional[str]]]] = [[]]
+    segments: list[_Phase] = []
     total_steps = 0
     move_number = 0
 
     def outcome(verdict, reason, detail, witness=None):
+        segments.append(_Phase(machine, start, total_steps - phase_start))
         return MatchOutcome(verdict, reason, detail, history, moves, segments,
                             witness_entry=witness, total_steps=total_steps)
 
     while True:
-        # one phase: the run from p until a play abandons it
-        phase_start = total_steps
-        seen: set[Process] = set()
-        for phase_steps, (p, rule) in enumerate(walk(machine, p)):
+        # one phase: the run from start until a play abandons it
+        start, phase_start = p, total_steps
+        seen: set[int] = set()
+        for phase_steps, (p, _) in enumerate(walk(machine, start)):
             total_steps = phase_start + phase_steps
-            segments[-1].append((p, rule))
             for idx in history.final_matches(p):
                 e = history.entries[idx]
                 if phi.f_value(zs, e.ms, e.ns) == 0:
@@ -398,13 +418,15 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
                     (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
                 moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx))
                 move_number += 1
+                segments.append(_Phase(machine, start, phase_steps))
                 p = Process(t, Push(numeral(n), Push(u_new, pi_new)))
-                segments.append([])
                 break
-            if p in seen:
+            key = hash(p)
+            if key in seen and any(
+                    q == p for q, _ in islice(walk(machine, start), phase_steps)):
                 return outcome("AbelardWin", "stuck",
                                "the process entered a loop with no move in sight")
-            seen.add(p)
+            seen.add(key)
             if phase_steps >= phase_budget:
                 return outcome("AbelardWin", "budget", "phase step budget exhausted")
             if total_steps >= total_budget:

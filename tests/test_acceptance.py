@@ -9,6 +9,7 @@ import random
 import time
 
 import subst_reference as ref
+from g1_reference import configs_flat, rules_flat
 from lamc.formula import (
     IDX_HALT3,
     IDX_LOOP,
@@ -195,7 +196,7 @@ def test_halting_strategy_with_simulation_cross_check():
                        leading=(IDX_LOOP,))
     assert loop_out.verdict == "EloiseWin"
     assert [(mv.m, mv.n) for mv in loop_out.moves] == [(0, 7)]
-    assert "Restore" not in loop_out.rules_flat()
+    assert "Restore" not in rules_flat(loop_out)
 
     halt_out = play_g1(reg, t_H, HALT, (Const("c_a"), Bottom("a0")),
                        ScriptedAbelard([(5, Const("c_b"), Bottom("a1")),
@@ -203,7 +204,7 @@ def test_halting_strategy_with_simulation_cross_check():
                        leading=(IDX_HALT3,))
     assert halt_out.verdict == "EloiseWin"
     assert [(mv.m, mv.n) for mv in halt_out.moves] == [(0, 5), (5, 9)]
-    assert "Restore" in halt_out.rules_flat()
+    assert "Restore" in rules_flat(halt_out)
 
     # every recorded payoff agrees with direct simulation of the machine
     for idx, outcome in ((IDX_LOOP, loop_out), (IDX_HALT3, halt_out)):
@@ -225,7 +226,7 @@ def _ledger_firings(outcome) -> int:
     from lamc.realizers import decode_history
 
     firings = 0
-    for p in outcome.configs_flat():
+    for p in configs_flat(outcome):
         if not (isinstance(p.term, Const) and p.term.name.startswith("T")):
             continue
         items, s = [], p.stack

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from g1_reference import rules_flat
 from g2_reference import play_g2_rescan
 from lamc.formula import (
     IDX_HALT3,
@@ -357,7 +358,7 @@ def test_g1_halting_realizer_never_halting_instance():
                   leading=(IDX_LOOP,))
     assert_win_sound(out, HALT, leading=(IDX_LOOP,))
     assert [(mv.m, mv.n) for mv in out.moves] == [(0, 7)]
-    assert "Restore" not in out.rules_flat()
+    assert "Restore" not in rules_flat(out)
 
 
 def test_g1_halting_realizer_rewinds_on_a_halting_instance():
@@ -369,7 +370,7 @@ def test_g1_halting_realizer_rewinds_on_a_halting_instance():
                   leading=(IDX_HALT3,))
     assert_win_sound(out, HALT, leading=(IDX_HALT3,))
     assert [(mv.m, mv.n) for mv in out.moves] == [(0, 5), (5, 9)]
-    assert "Restore" in out.rules_flat()
+    assert "Restore" in rules_flat(out)
     # the first completed entry is a failed claim: its payoff is nonzero
     e1 = out.history.entries[1]
     assert HALT.f_value((IDX_HALT3,), e1.ms, e1.ns) != 0
@@ -384,7 +385,7 @@ def test_g1_halting_realizer_challenge_boundary(challenge, rewinds):
                                    (1, Const("c_u"), Bottom("a2"))]),
                   leading=(IDX_HALT3,))
     assert_win_sound(out, HALT, leading=(IDX_HALT3,))
-    assert ("Restore" in out.rules_flat()) == rewinds
+    assert ("Restore" in rules_flat(out)) == rewinds
     assert len(out.moves) == (2 if rewinds else 1)
 
 
