@@ -70,11 +70,14 @@ class HistoryEntry:
 
 
 class History:
-    """Append-only entry list with hash lookups for move-shape detection."""
+    """Append-only entry list with hash lookups for move-shape detection.
+    heads holds the _hash of every entry's u: a configuration whose head
+    term's hash is not in it matches no entry, complete or not."""
 
     def __init__(self, h: int):
         self.h = h
         self.entries: list[HistoryEntry] = []
+        self.heads: set[int] = set()
         self._final_by_shape: dict[tuple[Term, Stack], list[int]] = {}
         self._open_by_shape: dict[tuple[Term, Stack], int] = {}
 
@@ -83,6 +86,7 @@ class History:
             raise LamcError("history entry deeper than the formula")
         idx = len(self.entries)
         self.entries.append(entry)
+        self.heads.add(entry.u._hash)
         key = (entry.u, entry.pi)
         if entry.depth() == self.h:
             self._final_by_shape.setdefault(key, []).append(idx)
@@ -379,6 +383,7 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
     machine = Machine(registry)
     history = History(phi.rounds)
     history.append(HistoryEntry((), (), handle[0], handle[1]))
+    heads = history.heads
     zs = tuple(leading)
 
     p = _initial_process(realizer, handle, leading)
@@ -398,13 +403,15 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
         seen: set[int] = set()
         for phase_steps, (p, _) in enumerate(walk(machine, start)):
             total_steps = phase_start + phase_steps
-            for idx in history.final_matches(p):
-                e = history.entries[idx]
-                if phi.f_value(zs, e.ms, e.ns) == 0:
-                    return outcome("EloiseWin", None,
-                                   f"complete entry {idx} reached with payoff 0",
-                                   witness=idx)
-            hit = history.open_match(p)
+            hit = None
+            if p.term._hash in heads:
+                for idx in history.final_matches(p):
+                    e = history.entries[idx]
+                    if phi.f_value(zs, e.ms, e.ns) == 0:
+                        return outcome("EloiseWin", None,
+                                       f"complete entry {idx} reached with payoff 0",
+                                       witness=idx)
+                hit = history.open_match(p)
             if hit is not None:
                 entry_idx, m, t = hit
                 entry = history.entries[entry_idx]
@@ -489,6 +496,7 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
     machine = Machine(registry)
     history = History(phi.rounds)
     history.append(HistoryEntry((), (), handle[0], handle[1]))
+    heads = history.heads
     zs = tuple(leading)
 
     threads: list[_Thread] = []
@@ -508,12 +516,14 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
 
     def watch(t: _Thread, i: int) -> None:
         p = t.trace[i]
-        for idx in history.final_matches(p):
-            heapq.heappush(wins, (t.idx, i, idx))
+        known = p.term._hash in heads
+        if known:
+            for idx in history.final_matches(p):
+                heapq.heappush(wins, (t.idx, i, idx))
         shape = play_shape(p)
         if shape is None:
             return
-        hit = history.open_match(p)
+        hit = history.open_match(p) if known else None
         if hit is not None:
             heapq.heappush(plays, (t.idx, i, *hit))
         else:

@@ -20,6 +20,7 @@ from .syntax import (
     Bound,
     Cont,
     Const,
+    HAS_STACKNAME,
     Lam,
     LamcError,
     NIL,
@@ -56,7 +57,7 @@ SELF_APP_GROW: Term = Lam(App(App(Bound(0), Bound(0)), IDENT), "x")
 
 def is_proof_like(t: Term) -> bool:
     """No captured stacks anywhere in the term."""
-    return not t.has_stackname
+    return not t.flags & HAS_STACKNAME
 
 
 def identity_like_family(registry: Registry) -> dict[str, Term]:

@@ -45,22 +45,27 @@ class LamcParseError(LamcError):
 
 ### term and stack nodes (immutable, hash precomputed at construction)
 
+# bits of Node.flags: what kinds of leaves occur anywhere below a node
+HAS_FREE = 1            # a named free variable
+HAS_CONST = 2           # a declared term constant
+HAS_STACKNAME = 4       # a stack constant
+
 
 class Node:
-    __slots__ = ("_hash", "free_width", "has_free", "has_const", "has_stackname")
+    """free_width is one more than the largest de Bruijn index left unbound
+    (0 when none is); flags ORs the HAS_* bits of every leaf below."""
+
+    __slots__ = ("_hash", "free_width", "flags")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Node):
             return NotImplemented
-        return _structural_eq(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return not _structural_eq(self, other)
+        return self._hash == other._hash and _structural_eq(self, other)
 
 
 class Term(Node):
@@ -85,9 +90,7 @@ class Bound(Term):
     def __init__(self, index: int):
         self.index = index
         self.free_width = index + 1
-        self.has_free = False
-        self.has_const = False
-        self.has_stackname = False
+        self.flags = 0
         self._hash = hash((_TAG_BOUND, index))
 
 
@@ -99,9 +102,7 @@ class FreeVar(Term):
     def __init__(self, name: str):
         self.name = name
         self.free_width = 0
-        self.has_free = True
-        self.has_const = False
-        self.has_stackname = False
+        self.flags = HAS_FREE
         self._hash = hash((_TAG_FREE, name))
 
 
@@ -113,10 +114,9 @@ class Lam(Term):
     def __init__(self, body: Term, hint: str = "x"):
         self.body = body
         self.hint = hint
-        self.free_width = max(body.free_width - 1, 0)
-        self.has_free = body.has_free
-        self.has_const = body.has_const
-        self.has_stackname = body.has_stackname
+        w = body.free_width
+        self.free_width = w - 1 if w else 0
+        self.flags = body.flags
         self._hash = hash((_TAG_LAM, body._hash))
 
 
@@ -126,10 +126,9 @@ class App(Term):
     def __init__(self, fn: Term, arg: Term):
         self.fn = fn
         self.arg = arg
-        self.free_width = max(fn.free_width, arg.free_width)
-        self.has_free = fn.has_free or arg.has_free
-        self.has_const = fn.has_const or arg.has_const
-        self.has_stackname = fn.has_stackname or arg.has_stackname
+        w, v = fn.free_width, arg.free_width
+        self.free_width = w if w >= v else v
+        self.flags = fn.flags | arg.flags
         self._hash = hash((_TAG_APP, fn._hash, arg._hash))
 
 
@@ -141,9 +140,7 @@ class Const(Term):
     def __init__(self, name: str):
         self.name = name
         self.free_width = 0
-        self.has_free = False
-        self.has_const = True
-        self.has_stackname = False
+        self.flags = HAS_CONST
         self._hash = hash((_TAG_CONST, name))
 
 
@@ -155,9 +152,7 @@ class Cont(Term):
     def __init__(self, stack: Stack):
         self.stack = stack
         self.free_width = stack.free_width
-        self.has_free = stack.has_free
-        self.has_const = stack.has_const
-        self.has_stackname = stack.has_stackname
+        self.flags = stack.flags
         self._hash = hash((_TAG_CONT, stack._hash))
 
 
@@ -169,9 +164,7 @@ class Bottom(Stack):
     def __init__(self, name: str):
         self.name = name
         self.free_width = 0
-        self.has_free = False
-        self.has_const = False
-        self.has_stackname = True
+        self.flags = HAS_STACKNAME
         self._hash = hash((_TAG_BOTTOM, name))
 
 
@@ -181,10 +174,9 @@ class Push(Stack):
     def __init__(self, top: Term, rest: Stack):
         self.top = top
         self.rest = rest
-        self.free_width = max(top.free_width, rest.free_width)
-        self.has_free = top.has_free or rest.has_free
-        self.has_const = top.has_const or rest.has_const
-        self.has_stackname = top.has_stackname or rest.has_stackname
+        w, v = top.free_width, rest.free_width
+        self.free_width = w if w >= v else v
+        self.flags = top.flags | rest.flags
         self._hash = hash((_TAG_PUSH, top._hash, rest._hash))
 
 
@@ -196,10 +188,9 @@ class Process(Node):
     def __init__(self, term: Term, stack: Stack):
         self.term = term
         self.stack = stack
-        self.free_width = max(term.free_width, stack.free_width)
-        self.has_free = term.has_free or stack.has_free
-        self.has_const = term.has_const or stack.has_const
-        self.has_stackname = term.has_stackname or stack.has_stackname
+        w, v = term.free_width, stack.free_width
+        self.free_width = w if w >= v else v
+        self.flags = term.flags | stack.flags
         self._hash = hash((_TAG_PROCESS, term._hash, stack._hash))
 
     def __repr__(self) -> str:
@@ -207,15 +198,23 @@ class Process(Node):
 
 
 def _structural_eq(a: Node, b: Node) -> bool:
+    """Structural equality. Each pair of nodes is expanded once, so
+    stacks saved inside themselves are compared as the DAGs they are; the
+    ids stay unique because both roots keep every node alive."""
     if a is b:
         return True
     todo = [(a, b)]
+    expanded: set[tuple[int, int]] = set()
     while todo:
         x, y = todo.pop()
         if x is y:
             continue
         if type(x) is not type(y) or x._hash != y._hash:
             return False
+        pair = (id(x), id(y))
+        if pair in expanded:
+            continue
+        expanded.add(pair)
         if isinstance(x, Bound):
             if x.index != y.index:
                 return False
@@ -249,7 +248,7 @@ def alpha_eq(a: Node, b: Node) -> bool:
 
 def is_closed(t: Node) -> bool:
     """No unbound variable, de Bruijn or named."""
-    return t.free_width == 0 and not t.has_free
+    return t.free_width == 0 and not t.flags & HAS_FREE
 
 
 ### constant registry
@@ -385,12 +384,32 @@ SUCC: Term = Lam(
 )
 
 
+_SUCC_HASH, _ZERO_HASH = SUCC._hash, ZERO._hash
+
+
+def _numeral_chain(size: int) -> tuple[Term, ...]:
+    chain = [ZERO]
+    while len(chain) < size:
+        chain.append(App(SUCC, chain[-1]))
+    return tuple(chain)
+
+
+# numeral(n) for n below the table's size is one node of a chain built at
+# import and shared by every caller; moves, tuple entries and quote codes are
+# mostly small
+_NUMERALS = _numeral_chain(256)
+
+
 def numeral(n: int) -> Term:
-    """The literal numeral: SUCC applied n times to ZERO."""
+    """The literal numeral: SUCC applied n times to ZERO. Below the shared
+    table's size every call returns the same node; above it the chain is
+    built on the table's last entry."""
     if n < 0:
         raise LamcError(f"numeral wants a natural, got {n}")
-    t = ZERO
-    for _ in range(n):
+    if n < len(_NUMERALS):
+        return _NUMERALS[n]
+    t = _NUMERALS[-1]
+    for _ in range(n - len(_NUMERALS) + 1):
         t = App(SUCC, t)
     return t
 
@@ -399,11 +418,12 @@ def decode_numeral(t: Term) -> Optional[int]:
     """Strictly read back a literal numeral, None on anything else."""
     n = 0
     while isinstance(t, App):
-        if not (t.fn is SUCC or t.fn == SUCC):
+        fn = t.fn
+        if not (fn is SUCC or (fn._hash == _SUCC_HASH and _structural_eq(fn, SUCC))):
             return None
         n += 1
         t = t.arg
-    if t is ZERO or t == ZERO:
+    if t is ZERO or (t._hash == _ZERO_HASH and _structural_eq(t, ZERO)):
         return n
     return None
 
@@ -589,7 +609,7 @@ def subst_var(t: Term, x: str, u: Term) -> Term:
         raise LamcError("substituting a term with unbound indices for a variable")
 
     def visit(node: Node, depth: int) -> Optional[Node]:
-        if not node.has_free:
+        if not node.flags & HAS_FREE:
             return node
         if isinstance(node, FreeVar):
             return u if node.name == x else node
@@ -608,8 +628,10 @@ def _const_rewriter(terms: dict[str, Term], stacks: dict[str, Stack]
     if not all(map(is_closed, stacks.values())):
         raise LamcError("substituting an open stack for a stack constant")
 
+    wanted = (HAS_CONST if terms else 0) | (HAS_STACKNAME if stacks else 0)
+
     def visit(node: Node, depth: int) -> Optional[Node]:
-        if not ((terms and node.has_const) or (stacks and node.has_stackname)):
+        if not node.flags & wanted:
             return node
         if isinstance(node, Const):
             return terms.get(node.name, node)
@@ -643,12 +665,12 @@ def subst_stack_const(t: Union[Term, Stack, Process], alpha: str, pi: Stack):
 
 def collect_constants(node: Node) -> set[str]:
     """Names of all term constants occurring anywhere in the node."""
-    return _names(node, (Const,), lambda n: n.has_const)
+    return _names(node, (Const,), lambda n: n.flags & HAS_CONST)
 
 
 def collect_stack_constants(node: Node) -> set[str]:
     """Names of all stack constants occurring anywhere in the node."""
-    return _names(node, (Bottom,), lambda n: n.has_stackname)
+    return _names(node, (Bottom,), lambda n: n.flags & HAS_STACKNAME)
 
 
 ### convenience builders for named construction in code
@@ -661,7 +683,7 @@ def bind(name: str, body: Term, hint: Optional[str] = None) -> Lam:
     """Abstract the named free variable into a binder."""
 
     def visit(t: Node, depth: int) -> Optional[Node]:
-        if not t.has_free:
+        if not t.flags & HAS_FREE:
             return t
         if isinstance(t, FreeVar):
             return Bound(depth) if t.name == name else t
@@ -979,8 +1001,7 @@ def parse_process(text: str, registry: Registry, free_vars: Iterable[str] = ()) 
 
 class _Printer:
     def __init__(self, root: Node):
-        self.reserved = _names(root, (Const, FreeVar, Bottom),
-                               lambda n: n.has_const or n.has_free or n.has_stackname)
+        self.reserved = _names(root, (Const, FreeVar, Bottom), lambda n: n.flags)
 
     def fresh_name(self, hint: str, scope: tuple[str, ...]) -> str:
         if hint and hint not in self.reserved and hint not in scope:

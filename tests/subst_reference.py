@@ -17,6 +17,9 @@ from lamc.syntax import (
     Cont,
     Const,
     FreeVar,
+    HAS_CONST,
+    HAS_FREE,
+    HAS_STACKNAME,
     Lam,
     LamcError,
     Process,
@@ -86,7 +89,7 @@ def subst_var(t, x, u):
         raise LamcError("substituting a term with unbound indices for a variable")
 
     def go(node):
-        if not node.has_free:
+        if not node.flags & HAS_FREE:
             return node
         if isinstance(node, FreeVar):
             return u if node.name == x else node
@@ -100,7 +103,7 @@ def subst_const(t, c, u):
         raise LamcError("substituting an open term for a constant")
 
     def go(node):
-        if not node.has_const:
+        if not node.flags & HAS_CONST:
             return node
         if isinstance(node, Const):
             return u if node.name == c else node
@@ -114,7 +117,7 @@ def subst_stack_const(t, alpha, pi):
         raise LamcError("substituting an open stack for a stack constant")
 
     def go(node):
-        if not node.has_stackname:
+        if not node.flags & HAS_STACKNAME:
             return node
         if isinstance(node, Bottom):
             return pi if node.name == alpha else node
@@ -127,7 +130,7 @@ def bind(name, body, hint=None):
     def go(t, depth):
         if isinstance(t, FreeVar):
             return Bound(depth) if t.name == name else t
-        if not t.has_free:
+        if not t.flags & HAS_FREE:
             return t
         if isinstance(t, Lam):
             b = go(t.body, depth + 1)
@@ -141,7 +144,7 @@ def bind(name, body, hint=None):
         return t
 
     def go_stack(s, depth):
-        if not s.has_free:
+        if not s.flags & HAS_FREE:
             return s
         if isinstance(s, Push):
             top, rest = go(s.top, depth), go_stack(s.rest, depth)

@@ -45,6 +45,8 @@ from lamc.syntax import (
     Bound,
     Cont,
     Const,
+    HAS_FREE,
+    HAS_STACKNAME,
     Lam,
     LamcError,
     PAIR_CONS,
@@ -84,7 +86,7 @@ def test_basic_terms_are_proof_like_and_closed():
                     "self_app_grow": SELF_APP_GROW, "zero": numeral(0),
                     "succ": SUCC, "pair": PAIR_CONS}.items():
         assert is_proof_like(t), name
-        assert not t.has_free, name
+        assert not t.flags & HAS_FREE, name
 
 
 def test_self_app_cycles():
@@ -401,7 +403,7 @@ def test_t_H_opening_move():
     resumer = last.stack.rest.top
     assert last.stack.rest.rest == Bottom("a0")
     # the handed-out handler carries the opening stack inside a continuation
-    assert resumer.has_stackname
+    assert resumer.flags & HAS_STACKNAME
 
 
 def test_t_H_yields_when_the_machine_never_halts():

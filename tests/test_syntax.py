@@ -429,7 +429,7 @@ def test_substitution_rewrites_each_shared_saved_stack_once(n):
             for _ in range(n):
                 assert level.top.stack is level.rest
                 level = level.rest
-            if n <= 10:     # the reference and == walk all 2^n paths
+            if n <= 10:     # the reference and the printer walk all 2^n paths
                 assert_agrees(out, reference(source, name, image), source)
 
 
