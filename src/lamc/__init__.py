@@ -28,7 +28,6 @@ from .syntax import (
     Registry,
     Stack,
     Term,
-    alpha_eq,
     decode_numeral,
     fresh_constants,
     numeral,
@@ -73,15 +72,12 @@ from .game import (
     RandomAbelard,
     ScriptedAbelard,
     blind_box_eloise,
-    check_strategy,
     fresh_handle,
     load_abelard_script,
     minimax_g0_abelard,
     play_g0,
     play_g1,
     play_g2,
-    scripted_g0_abelard,
-    scripted_g0_eloise,
     transcript_to_script,
 )
 from .scheme import (
@@ -94,7 +90,6 @@ from .scheme import (
 )
 from .realizers import (
     check_identity_like,
-    identity_like_family,
     realizer_catalog,
     resolve_realizer,
     storage_operator,
@@ -104,10 +99,10 @@ __all__ = [
     # syntax
     "App", "Bound", "Bottom", "Const", "Cont", "FreeVar", "Lam",
     "LamcError", "LamcParseError", "Process", "Push", "Registry",
-    "Stack", "Term", "alpha_eq", "decode_numeral", "fresh_constants",
-    "numeral", "parse_process", "parse_stack", "parse_term",
-    "process_to_text", "stack_to_text", "subst_const",
-    "subst_stack_const", "subst_var", "term_to_text",
+    "Stack", "Term", "decode_numeral", "fresh_constants", "numeral",
+    "parse_process", "parse_stack", "parse_term", "process_to_text",
+    "stack_to_text", "subst_const", "subst_stack_const", "subst_var",
+    "term_to_text",
     # machine
     "Machine", "MachineConfig", "Terminal", "run",
     # formula
@@ -118,16 +113,15 @@ __all__ = [
     # game
     "FreshConstantAbelard", "G0Outcome", "History", "HistoryEntry",
     "InteractiveAbelard", "MatchOutcome", "MoveRecord", "RandomAbelard",
-    "ScriptedAbelard", "blind_box_eloise", "check_strategy",
-    "fresh_handle", "load_abelard_script", "minimax_g0_abelard",
-    "play_g0", "play_g1", "play_g2", "scripted_g0_abelard",
-    "scripted_g0_eloise", "transcript_to_script",
+    "ScriptedAbelard", "blind_box_eloise", "fresh_handle",
+    "load_abelard_script", "minimax_g0_abelard", "play_g0", "play_g1",
+    "play_g2", "transcript_to_script",
     # scheme
     "SchemeFailure", "ThreadScheme", "build_scripted_realizer",
     "extract_scheme", "replay_with_substitution", "verify_replay",
     # realizers
-    "check_identity_like", "identity_like_family", "realizer_catalog",
-    "resolve_realizer", "storage_operator",
+    "check_identity_like", "realizer_catalog", "resolve_realizer",
+    "storage_operator",
 ]
 
 __version__ = "0.1.0"

@@ -101,11 +101,6 @@ class PrimRecFn:
         if self.dsl is not None:
             _validate_dsl(self.dsl, self.arity)
 
-    def eval_dsl(self, args: Sequence[int]) -> int:
-        if self.dsl is None:
-            raise LamcError(f"function {self.name} has no DSL body")
-        return _eval_dsl(self.dsl, tuple(args))
-
 
 def _freeze_dsl(expr) -> tuple:
     if isinstance(expr, str):

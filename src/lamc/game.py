@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,8 +210,6 @@ class InteractiveAbelard:
 
     def __init__(self, registry: Registry, out=None):
         self._registry = registry
-        import sys
-
         self._out = out if out is not None else sys.stdout
 
     def __call__(self, ctx: MoveContext) -> Optional[Reply]:
@@ -222,7 +221,7 @@ class InteractiveAbelard:
                 return None
             try:
                 n_text, u_text, pi_text = (part.strip() for part in line.split(",", 2))
-                return (check_literal(int(n_text), "reply number"),
+                return (_script_number(int(n_text), "reply number"),
                         parse_term(u_text, self._registry),
                         parse_stack(pi_text, self._registry))
             except (ValueError, LamcError) as exc:
@@ -390,7 +389,6 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
     moves: list[MoveRecord] = []
     segments: list[_Phase] = []
     total_steps = 0
-    move_number = 0
 
     def outcome(verdict, reason, detail, witness=None):
         segments.append(_Phase(machine, start, total_steps - phase_start))
@@ -416,15 +414,14 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
                 entry_idx, m, t = hit
                 entry = history.entries[entry_idx]
                 reply = abelard(MoveContext(phi, entry, entry_idx, m, t,
-                                            move_number))
+                                            len(moves)))
                 if reply is None:
                     return outcome("AbelardWin", "budget",
                                    "opponent had no further reply")
                 n, u_new, pi_new = reply
                 new_idx = history.append(HistoryEntry(
                     (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
-                moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx))
-                move_number += 1
+                moves.append(MoveRecord(len(moves), entry_idx, m, n, new_idx))
                 segments.append(_Phase(machine, start, phase_steps))
                 p = Process(t, Push(numeral(n), Push(u_new, pi_new)))
                 break
@@ -506,7 +503,6 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
     payoffs: dict[int, int] = {}
     moves: list[MoveRecord] = []
     total_steps = 0
-    move_number = 0
 
     def outcome(verdict, reason, detail, witness=None, ref=None):
         segments = [list(zip(t.trace, t.rules)) for t in threads]
@@ -565,7 +561,7 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
         if plays:
             t_idx, c_idx, entry_idx, m, handler = heapq.heappop(plays)
             entry = history.entries[entry_idx]
-            ctx = MoveContext(phi, entry, entry_idx, m, handler, move_number)
+            ctx = MoveContext(phi, entry, entry_idx, m, handler, len(moves))
             reply = abelard(ctx)
             if reply is None:
                 return outcome("AbelardWin", "budget",
@@ -573,9 +569,8 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
             n, u_new, pi_new = reply
             new_idx = record(HistoryEntry(
                 (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
-            moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx,
+            moves.append(MoveRecord(len(moves), entry_idx, m, n, new_idx,
                                     thread=t_idx, config=c_idx))
-            move_number += 1
             spawn(Process(handler, Push(numeral(n), Push(u_new, pi_new))))
             continue
         if total_steps >= total_budget:
@@ -630,7 +625,7 @@ def play_g0(phi: ArithFormula, eloise: G0Eloise, abelard: G0Abelard,
     h = phi.rounds
     history: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     moves: list[G0Move] = []
-    for move_number in range(max_moves):
+    for _ in range(max_moves):
         choice = eloise(history)
         if choice is None:
             return G0Outcome("AbelardWin", "stuck", "no move proposed",
@@ -651,35 +646,6 @@ def play_g0(phi: ArithFormula, eloise: G0Eloise, abelard: G0Abelard,
                              history, moves)
     return G0Outcome("AbelardWin", "budget", "move budget exhausted",
                      history, moves)
-
-
-def scripted_g0_eloise(moves: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]]
-                       ) -> G0Eloise:
-    """Moves given as (position ms, position ns, m): each names the recorded
-    position to extend by value, then the number to play."""
-    pending = list(moves)
-
-    def strategy(history):
-        if not pending:
-            return None
-        ms, ns, m = pending.pop(0)
-        for idx, (hms, hns) in enumerate(history):
-            if hms == tuple(ms) and hns == tuple(ns):
-                return idx, m
-        raise LamcError(f"scripted position {(ms, ns)} not in the history")
-
-    return strategy
-
-
-def scripted_g0_abelard(answers: Sequence[int], fallback: int = 0) -> G0Abelard:
-    pending = list(answers)
-
-    def strategy(history, entry_index, m):
-        if pending:
-            return pending.pop(0)
-        return fallback
-
-    return strategy
 
 
 def blind_box_eloise(phi: ArithFormula, bound: int) -> G0Eloise:
@@ -731,47 +697,6 @@ def minimax_g0_abelard(phi: ArithFormula, bound: int,
         return 0
 
     return strategy
-
-
-### harness
-
-def check_strategy(registry_factory: Callable[[], Registry], realizer_name: str,
-                   build_realizer: Callable[[Registry], Term],
-                   phi: ArithFormula,
-                   adversaries: Sequence[tuple[str, Callable[[Registry], AbelardStrategy]]],
-                   handles: Sequence[tuple[str, Callable[[Registry], tuple[Term, Stack]]]],
-                   leading: Sequence[int] = (), phase_budget: int = 10_000,
-                   total_budget: int = 1_000_000,
-                   games: Sequence[str] = ("g1", "g2")) -> list[dict]:
-    """Falsification harness: play every (handle, adversary) pair in the asked
-    games. A loss is a definitive counterexample; wins are evidence only."""
-    report = []
-    for handle_name, make_handle in handles:
-        for adv_name, make_adv in adversaries:
-            for game in games:
-                registry = registry_factory()
-                realizer = build_realizer(registry)
-                handle = make_handle(registry)
-                adversary = make_adv(registry)
-                if game == "g1":
-                    out = play_g1(registry, realizer, phi, handle, adversary,
-                                  leading=leading, phase_budget=phase_budget,
-                                  total_budget=total_budget)
-                else:
-                    out = play_g2(registry, realizer, phi, handle, adversary,
-                                  leading=leading, total_budget=total_budget)
-                report.append({
-                    "realizer": realizer_name,
-                    "formula": phi.name,
-                    "game": game,
-                    "handle": handle_name,
-                    "adversary": adv_name,
-                    "verdict": out.verdict,
-                    "reason": out.reason,
-                    "moves": len(out.moves),
-                    "steps": out.total_steps,
-                })
-    return report
 
 
 def transcript_to_script(outcome: MatchOutcome) -> list[Reply]:

@@ -107,13 +107,14 @@ class Machine:
                 return Process(s.top, t.stack), RULE_RESTORE
             return None, None
         if isinstance(t, Const):
-            rule = self.registry.rule_for(t.name)
-            if rule is None:
+            entry = self.registry.rules.get(t.name)
+            if entry is None:
                 return None, None
+            rule, label = entry
             out = rule(self, s)
             if out is None:
                 return None, None
-            return out, self.registry.rule_labels.get(t.name, t.name)
+            return out, label
         # Bound / FreeVar heads never fire (configurations are closed in practice)
         return None, None
 

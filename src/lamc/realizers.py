@@ -36,7 +36,6 @@ from .syntax import (
     decode_nat_tuple,
     decode_numeral,
     encode_list,
-    encode_nat_tuple,
     fv,
     is_closed,
     lam,
@@ -45,7 +44,6 @@ from .syntax import (
     pop_items,
     random_closed_term,
     random_stack,
-    subst_var,
 )
 
 ### basic combinators
@@ -58,18 +56,6 @@ SELF_APP_GROW: Term = Lam(App(App(Bound(0), Bound(0)), IDENT), "x")
 def is_proof_like(t: Term) -> bool:
     """No captured stacks anywhere in the term."""
     return not t.flags & HAS_STACKNAME
-
-
-def identity_like_family(registry: Registry) -> dict[str, Term]:
-    """Closed terms t with t * u.pi > u * pi for every closed u and pi."""
-    return {
-        "ident": IDENT,
-        "ident_of_ident": App(IDENT, IDENT),
-        "self_app_of_ident": App(SELF_APP, IDENT),
-        "ident_via_control": parse_term("\\x. cc (\\k. x)", registry),
-        "ident_via_restore": parse_term(
-            "cc (\\k. k (\\x. x) (\\y. y y) k)", registry),
-    }
 
 
 def check_identity_like(term: Term, registry: Registry, trials: int = 100,
@@ -106,18 +92,6 @@ def storage_operator() -> Term:
     base = lam("c", app(fv("c"), numeral(0)))
     step = lam("t c", app(fv("t"), lam("m", app(fv("c"), App(SUCC, fv("m"))))))
     return lam("f v", app(fv("v"), base, step, fv("f")))
-
-
-### alpha-equality decided through stack codes
-
-def build_eq_via_codes(registry: Registry) -> Term:
-    """A term behaving like the native alpha-test: t * a.b.u.v.pi ends at
-    u * pi when a and b are alpha-equal and at v * pi otherwise. It codes the
-    two stacks a.u.v.pi and b.u.v.pi and compares the codes, so it needs the
-    coding and numeral-test instructions installed."""
-    _require(registry, "quote", "eq_nat")
-    return parse_term("\\a b. quote (\\n y. quote (\\p z. eq_nat n p) b) a",
-                      registry)
 
 
 def _require(registry: Registry, *names: str) -> None:
@@ -183,10 +157,6 @@ class HistoryCell:
     ns: tuple[int, ...]
     u: Term
     k: Term
-
-
-def encode_history_entry(ms, ns, u: Term, k: Term) -> Term:
-    return encode_list([encode_nat_tuple(ms), encode_nat_tuple(ns), u, k])
 
 
 class _Spine:
@@ -256,24 +226,6 @@ def build_t_leq(registry: Registry) -> Term:
     opener by that code, answering with ident on the replayed stack."""
     _require(registry, "quote", "eq", "eq_nat")
     return parse_term(_LEQ_TEXT, registry)
-
-
-def leq_round_opener(registry: Registry, u: Term, code: int) -> Term:
-    """The self-pair the leq realizer evaluates after coding its stack as
-    `code`; replaying this exact term against the coded stack is the one move
-    the round-two gate rewards."""
-    t1 = subst_var(subst_var(
-        parse_term(_LEQ_T1_TEXT, registry, free_vars=("u", "m")),
-        "u", u), "m", numeral(code))
-    return App(t1, t1)
-
-
-def leq_round_gate(registry: Registry, u: Term, code: int) -> Term:
-    """The handler the leq realizer hands out with its number: yields to any
-    reply except the recorded opener on the recorded stack."""
-    opener = leq_round_opener(registry, u, code)
-    t2 = parse_term(_LEQ_T2_TEXT, registry, free_vars=("y", "m"))
-    return subst_var(subst_var(t2, "y", opener.fn), "m", numeral(code))
 
 
 ### the halting-game realizer

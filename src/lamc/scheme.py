@@ -33,7 +33,6 @@ from .syntax import (
     parse_term,
     process_to_text,
     subst_consts,
-    subst_var,
     term_to_text,
 )
 
@@ -262,27 +261,6 @@ def extract_scheme(t0: Term, nseq: Sequence[int], phi: ArithFormula,
         children[j] += 1
         children.append(0)
         nodes.append(SchemeNode(len(nodes), path, m, answers.pop(0), j, handler))
-
-
-### substitution along a path
-
-def path_substitution(scheme: ThreadScheme, path: Path) -> dict[str, int]:
-    """{x_i/y_i: numbers exchanged at the i-th prefix}, 2|path| entries."""
-    ms, ns = scheme.values_along(path)
-    subst: dict[str, int] = {}
-    for i, (m, n) in enumerate(zip(ms, ns), start=1):
-        subst[f"x{i}"] = m
-        subst[f"y{i}"] = n
-    return subst
-
-
-def substitute_along(scheme: ThreadScheme, path: Path, subject: Term) -> Term:
-    """Replace the placeholder variables x1, y1, ... in the subject with the
-    numbers exchanged along the path."""
-    out = subject
-    for var, value in path_substitution(scheme, path).items():
-        out = subst_var(out, var, numeral(value))
-    return out
 
 
 ### substitution replay

@@ -239,13 +239,6 @@ def _structural_eq(a: Node, b: Node) -> bool:
     return True
 
 
-def alpha_eq(a: Node, b: Node) -> bool:
-    """Alpha equivalence; structural on the nameless representation."""
-    if not isinstance(a, Node) or not isinstance(b, Node):
-        raise LamcError("alpha_eq compares terms, stacks or processes")
-    return _structural_eq(a, b)
-
-
 def is_closed(t: Node) -> bool:
     """No unbound variable, de Bruijn or named."""
     return t.free_width == 0 and not t.flags & HAS_FREE
@@ -253,37 +246,21 @@ def is_closed(t: Node) -> bool:
 
 ### constant registry
 
-_INERT = "inert"
-_INSTRUCTION = "instruction"
-
-
-class ConstantDecl:
-    __slots__ = ("name", "kind")
-
-    def __init__(self, name: str, kind: str):
-        self.name = name
-        self.kind = kind
-
-    def __repr__(self) -> str:
-        return f"ConstantDecl({self.name!r}, {self.kind!r})"
-
-
 class Registry:
     """Declared constant names, instruction rules, and fresh-name minting.
 
     Parsing consults the registry: an identifier that is neither bound nor
-    declared (nor whitelisted as a free variable) is a parse error. Machine
-    instructions carry a rule callable installed by the machine layer. The
-    quote_like flag marks instructions that inspect stacks or terms
-    intensionally; once one is installed no constant counts as substitutive.
+    declared (nor whitelisted as a free variable) is a parse error. Each
+    declared name has one kind, "term" or "stack"; a term name that is a
+    machine instruction also has a rule callable, installed by the machine
+    layer, and the label a step by it reports. has_quote_like is set once an
+    instruction that inspects stacks or terms intensionally is installed.
     """
 
     def __init__(self) -> None:
-        self.terms: dict[str, ConstantDecl] = {}
-        self.stacks: dict[str, ConstantDecl] = {}
-        self.rules: dict[str, Callable] = {}
-        self.rule_labels: dict[str, str] = {}
-        self._quote_like: set[str] = set()
+        self.kinds: dict[str, str] = {}             # name -> "term" | "stack"
+        self.rules: dict[str, tuple[Callable, str]] = {}    # -> (rule, label)
+        self.has_quote_like = False
         self._fresh_counters: dict[str, int] = {}
         # kept as declared, for the random generators to draw from
         self.inert_names: list[str] = []            # in declaration order
@@ -291,62 +268,36 @@ class Registry:
 
     # declaration
     def declare_inert(self, name: str) -> str:
-        self._check_new(name)
-        self.terms[name] = ConstantDecl(name, _INERT)
+        self._declare(name, "term")
         self.inert_names.append(name)
         return name
 
     def declare_stack(self, name: str) -> str:
-        self._check_new(name)
-        self.stacks[name] = ConstantDecl(name, _INERT)
+        self._declare(name, "stack")
         bisect.insort(self.stack_names, name)
         return name
 
     def install_instruction(self, name: str, rule: Callable, quote_like: bool = False,
                             label: Optional[str] = None) -> str:
-        self._check_new(name)
-        self.terms[name] = ConstantDecl(name, _INSTRUCTION)
-        self.rules[name] = rule
-        self.rule_labels[name] = label if label is not None else name
-        if quote_like:
-            self._quote_like.add(name)
+        self._declare(name, "term")
+        self.rules[name] = (rule, label if label is not None else name)
+        self.has_quote_like |= quote_like
         return name
 
-    def _check_new(self, name: str) -> None:
-        if name in self.terms or name in self.stacks:
+    def _declare(self, name: str, kind: str) -> None:
+        if name in self.kinds:
             raise LamcError(f"constant name already declared: {name}")
+        self.kinds[name] = kind
 
     # queries
     def is_term_name(self, name: str) -> bool:
-        return name in self.terms
+        return self.kinds.get(name) == "term"
 
     def is_stack_name(self, name: str) -> bool:
-        return name in self.stacks
+        return self.kinds.get(name) == "stack"
 
     def is_instruction(self, name: str) -> bool:
-        d = self.terms.get(name)
-        return d is not None and d.kind == _INSTRUCTION
-
-    def rule_for(self, name: str) -> Optional[Callable]:
-        return self.rules.get(name)
-
-    @property
-    def has_quote_like(self) -> bool:
-        return bool(self._quote_like)
-
-    def is_substitutive(self, name: str) -> bool:
-        """Whether steps commute with substituting for this constant.
-
-        Inert term constants and stack constants are substitutive in the
-        plain instruction set; once a quote-like instruction is installed,
-        no constant is.
-        """
-        if self.has_quote_like:
-            return False
-        d = self.terms.get(name)
-        if d is not None:
-            return d.kind == _INERT
-        return name in self.stacks
+        return name in self.rules
 
 
 def fresh_constants(registry: Registry, count: int, kind: str = "term",
@@ -361,7 +312,7 @@ def fresh_constants(registry: Registry, count: int, kind: str = "term",
     while len(out) < count:
         name = f"{prefix}{i}"
         i += 1
-        if name in registry.terms or name in registry.stacks:
+        if name in registry.kinds:
             continue
         if kind == "term":
             registry.declare_inert(name)
@@ -661,18 +612,6 @@ def subst_stack_const(t: Union[Term, Stack, Process], alpha: str, pi: Stack):
     return subst_consts(t, {}, {alpha: pi})
 
 
-### collectors used by hygiene checks
-
-def collect_constants(node: Node) -> set[str]:
-    """Names of all term constants occurring anywhere in the node."""
-    return _names(node, (Const,), lambda n: n.flags & HAS_CONST)
-
-
-def collect_stack_constants(node: Node) -> set[str]:
-    """Names of all stack constants occurring anywhere in the node."""
-    return _names(node, (Bottom,), lambda n: n.flags & HAS_STACKNAME)
-
-
 ### convenience builders for named construction in code
 
 def fv(name: str) -> FreeVar:
@@ -708,14 +647,6 @@ def app(*terms: Term) -> Term:
     for u in terms[1:]:
         t = App(t, u)
     return t
-
-
-def stack_of(items: Iterable[Term], bottom: str) -> Stack:
-    """Build a stack from items (top first) over a named stack constant."""
-    s: Stack = Bottom(bottom)
-    for item in reversed(list(items)):
-        s = Push(item, s)
-    return s
 
 
 def pop_items(s: Stack, n: int) -> Optional[tuple[list[Term], Stack]]:
@@ -760,7 +691,7 @@ def random_closed_term(rng, registry: Registry, max_depth: int = 4,
             return Lam(go(depth - 1, scope + 1), "x")
         if pick < 8:
             return App(go(depth - 1, scope), go(depth - 1, scope))
-        if pick == 8 and allow_cont and registry.stacks:
+        if pick == 8 and allow_cont and registry.stack_names:
             return Cont(random_stack(rng, registry, max_depth=depth - 1))
         return leaf(scope)
 
@@ -770,7 +701,7 @@ def random_closed_term(rng, registry: Registry, max_depth: int = 4,
 def random_stack(rng, registry: Registry, max_depth: int = 3,
                  max_items: int = 3) -> Stack:
     """A random stack of closed terms over a declared stack constant."""
-    if not registry.stacks:
+    if not registry.stack_names:
         raise LamcError("random_stack wants at least one declared stack constant")
     bottom = Bottom(rng.choice(registry.stack_names))
     s: Stack = bottom

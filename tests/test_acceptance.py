@@ -9,6 +9,7 @@ import random
 import time
 
 import subst_reference as ref
+from builders import identity_like_family, leq_round_opener
 from g1_reference import configs_flat, rules_flat
 from lamc.formula import (
     IDX_HALT3,
@@ -40,8 +41,6 @@ from lamc.realizers import (
     build_t_leq,
     build_t_phi,
     check_identity_like,
-    identity_like_family,
-    leq_round_opener,
     random_closed_term,
     random_stack,
 )

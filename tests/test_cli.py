@@ -407,7 +407,8 @@ def test_list_json_includes_file_formulae(capsys):
 def test_fixture_texts_match_their_builders():
     from lamc.formula import IDX_HALT3, IDX_LOOP
     from lamc.machine import MachineConfig
-    from lamc.realizers import IDENT, leq_round_opener
+    from builders import leq_round_opener
+    from lamc.realizers import IDENT
     from lamc.syntax import term_to_text
 
     reg = MachineConfig(quote=True, eq=True, eq_nat=True,

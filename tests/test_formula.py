@@ -23,6 +23,7 @@ from lamc.formula import (
     NATIVE_FNS,
     PrimRecFn,
     TuringMachineTable,
+    _eval_dsl,
     builtin_formulae,
     decode_table,
     encode_table,
@@ -94,13 +95,13 @@ def test_dsl_validation_catches_arity():
 @given(st.lists(st.integers(0, 12), min_size=2, max_size=2))
 def test_dsl_twins_agree_binary(args):
     for fn in (FN_ADD, FN_TRUNCSUB, FN_MULT, FN_PICK, FN_LEQ01):
-        assert fn.eval_dsl(args) == fn.native(*args)
+        assert _eval_dsl(fn.dsl, tuple(args)) == fn.native(*args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 8), min_size=4, max_size=4))
 def test_dsl_twin_agrees_phi4(args):
-    assert FN_PHI4.eval_dsl(args) == FN_PHI4.native(*args)
+    assert _eval_dsl(FN_PHI4.dsl, tuple(args)) == FN_PHI4.native(*args)
 
 
 def test_phi4_values_from_the_match_table():

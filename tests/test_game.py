@@ -1,5 +1,6 @@
 """Referee tests: move detection, the three games, adversaries, replays."""
 
+import io
 import json
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from builders import leq_round_opener
 from g1_reference import rules_flat
 from g2_reference import play_g2_rescan
 from lamc.formula import (
@@ -26,15 +28,12 @@ from lamc.game import (
     RandomAbelard,
     ScriptedAbelard,
     blind_box_eloise,
-    check_strategy,
     fresh_handle,
     load_abelard_script,
     minimax_g0_abelard,
     play_g0,
     play_g1,
     play_g2,
-    scripted_g0_abelard,
-    scripted_g0_eloise,
     transcript_to_script,
 )
 from lamc.machine import MachineConfig
@@ -45,7 +44,6 @@ from lamc.realizers import (
     build_t_H,
     build_t_leq,
     build_t_phi,
-    leq_round_opener,
     resolve_realizer,
 )
 from lamc.syntax import (
@@ -160,6 +158,32 @@ def test_detect_earliest_entry_wins_ties():
 
 
 ### the abstract game
+
+def scripted_g0_eloise(moves):
+    """Moves given as (position ms, position ns, m): each names the recorded
+    position to extend by value, then the number to play."""
+    pending = list(moves)
+
+    def strategy(history):
+        if not pending:
+            return None
+        ms, ns, m = pending.pop(0)
+        for idx, (hms, hns) in enumerate(history):
+            if hms == tuple(ms) and hns == tuple(ns):
+                return idx, m
+        raise LamcError(f"scripted position {(ms, ns)} not in the history")
+
+    return strategy
+
+
+def scripted_g0_abelard(answers, fallback=0):
+    pending = list(answers)
+
+    def strategy(history, entry_index, m):
+        return pending.pop(0) if pending else fallback
+
+    return strategy
+
 
 def test_g0_scripted_two_round_match():
     eloise = scripted_g0_eloise([
@@ -782,7 +806,8 @@ def test_fresh_constant_abelard_mints_new_handles():
 def random_closed_term_by_scan(rng, registry, max_depth=4, allow_cont=False):
     """random_closed_term as it was when it rescanned the declarations on
     every call: the reference for the registry's kept name lists."""
-    inert = [n for n, d in registry.terms.items() if d.kind == "inert"]
+    inert = [n for n, kind in registry.kinds.items()
+             if kind == "term" and not registry.is_instruction(n)]
 
     def leaf(scope):
         choices = ["id", "numeral"]
@@ -807,15 +832,19 @@ def random_closed_term_by_scan(rng, registry, max_depth=4, allow_cont=False):
             return Lam(go(depth - 1, scope + 1), "x")
         if pick < 8:
             return App(go(depth - 1, scope), go(depth - 1, scope))
-        if pick == 8 and allow_cont and registry.stacks:
+        if pick == 8 and allow_cont and stack_names_by_scan(registry):
             return Cont(random_stack_by_scan(rng, registry, max_depth=depth - 1))
         return leaf(scope)
 
     return go(max_depth, 0)
 
 
+def stack_names_by_scan(registry):
+    return sorted(n for n, kind in registry.kinds.items() if kind == "stack")
+
+
 def random_stack_by_scan(rng, registry, max_depth=3, max_items=3):
-    s = Bottom(rng.choice(sorted(registry.stacks)))
+    s = Bottom(rng.choice(stack_names_by_scan(registry)))
     for _ in range(rng.randrange(max_items + 1)):
         s = Push(random_closed_term_by_scan(rng, registry, max_depth=max_depth), s)
     return s
@@ -827,8 +856,9 @@ def test_random_abelard_draws_as_the_declaration_scan_did():
     # machine's own constants in declaration order
     reg = full_registry()
     handles = [fresh_handle(reg) for _ in range(300)]
-    assert reg.inert_names == [n for n, d in reg.terms.items() if d.kind == "inert"]
-    assert reg.stack_names == sorted(reg.stacks)
+    assert reg.inert_names == [n for n, kind in reg.kinds.items()
+                               if kind == "term" and not reg.is_instruction(n)]
+    assert reg.stack_names == stack_names_by_scan(reg)
     ctx = MoveContext(LEQ, HistoryEntry((), (), IDENT, handles[0][1]), 0, 0,
                       IDENT, 0)
     for seed in range(20):
@@ -879,6 +909,21 @@ def test_interactive_abelard_parses_console_lines(monkeypatch, capsys):
     assert abelard(ctx) is None
 
 
+def test_interactive_abelard_asks_again_for_a_negative_number(monkeypatch):
+    reg = full_registry()
+    answers = iter(["-3, \\x. x, a0", "1000001, \\x. x, a0", "2, \\x. x, a0"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
+    out = io.StringIO()
+    abelard = InteractiveAbelard(reg, out=out)
+    ctx = MoveContext(LEQ, HistoryEntry((), (), IDENT, Bottom("a0")), 0, 2,
+                      IDENT, 0)
+    assert abelard(ctx) == (2, IDENT, Bottom("a0"))
+    complaints = [line for line in out.getvalue().splitlines()
+                  if line.startswith("could not read that reply")]
+    assert len(complaints) == 2
+    assert "-3" in complaints[0]
+
+
 def test_transcript_to_script_replays_the_same_replies():
     reg = full_registry()
     t_leq = build_t_leq(reg)
@@ -888,29 +933,24 @@ def test_transcript_to_script_replays_the_same_replies():
     assert script == wild_script(reg)
 
 
-### the falsification harness
+### universal realizer against fixed handles and adversaries
 
-def test_check_strategy_reports_every_pairing():
-    def registry_factory():
-        return full_registry()
-
-    report = check_strategy(
-        registry_factory, "universal", lambda reg: build_t_phi(reg, LEQ), LEQ,
-        adversaries=[
-            ("fresh", lambda reg: FreshConstantAbelard(reg, [3])),
-            ("scripted", lambda reg: ScriptedAbelard(
-                [(2, Const("c_a"), Bottom("a1"))])),
-            ("random", lambda reg: RandomAbelard(reg, 1)),
-        ],
-        handles=[
-            ("fresh", fresh_handle),
-            ("inert", lambda reg: (Const("c_b"), Bottom("a0"))),
-        ],
-    )
-    assert len(report) == 12  # 2 handles x 3 adversaries x 2 games
-    assert all(row["verdict"] == "EloiseWin" for row in report)
-    games = {row["game"] for row in report}
-    assert games == {"g1", "g2"}
+@pytest.mark.parametrize("play", [play_g1, play_g2])
+@pytest.mark.parametrize("make_handle", [
+    fresh_handle,
+    lambda reg: (Const("c_b"), Bottom("a0")),
+], ids=["fresh", "inert"])
+@pytest.mark.parametrize("make_abelard", [
+    lambda reg: FreshConstantAbelard(reg, [3]),
+    lambda reg: ScriptedAbelard([(2, Const("c_a"), Bottom("a1"))]),
+    lambda reg: RandomAbelard(reg, 1),
+], ids=["fresh", "scripted", "random"])
+def test_universal_leq_realizer_wins_every_pairing(play, make_handle,
+                                                   make_abelard):
+    reg = full_registry()
+    realizer = build_t_phi(reg, LEQ)
+    out = play(reg, realizer, LEQ, make_handle(reg), make_abelard(reg))
+    assert out.verdict == "EloiseWin"
 
 
 ### serialization

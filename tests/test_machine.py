@@ -299,7 +299,7 @@ def test_eq_breaks_substitutivity_regression():
 ### non-generativity: steps never invent stack constants
 
 def test_steps_do_not_generate_stack_constants():
-    from lamc.syntax import collect_stack_constants
+    from builders import collect_stack_constants
     reg = MachineConfig(quote=True, eq=True, eq_nat=True, inert_consts=("c_a",)).build()
     m = Machine(reg)
     rng = random.Random(9)

@@ -18,8 +18,8 @@ from lamc.realizers import (
     IDENT,
     SELF_APP,
     SELF_APP_GROW,
+    _require,
     box_max_index,
-    build_eq_via_codes,
     build_t_H,
     build_t_leq,
     build_t_phi,
@@ -27,11 +27,7 @@ from lamc.realizers import (
     cantor_unpair,
     check_identity_like,
     decode_history,
-    encode_history_entry,
-    identity_like_family,
     is_proof_like,
-    leq_round_gate,
-    leq_round_opener,
     next_tuple,
     realizer_catalog,
     resolve_realizer,
@@ -55,6 +51,7 @@ from lamc.syntax import (
     SUCC,
     decode_nat_tuple,
     decode_numeral,
+    encode_list,
     encode_nat_tuple,
     numeral,
     parse_process,
@@ -64,6 +61,7 @@ from lamc.syntax import (
     random_stack,
     term_to_text,
 )
+from builders import identity_like_family, leq_round_gate, leq_round_opener
 from trace_reference import run
 
 FORMULAE = builtin_formulae()
@@ -215,6 +213,16 @@ def test_storage_operator_on_successor_of_computed_numeral():
 
 ### alpha-equality via stack codes
 
+def build_eq_via_codes(registry):
+    """A term behaving like the native alpha-test: t * a.b.u.v.pi ends at
+    u * pi when a and b are alpha-equal and at v * pi otherwise. It codes the
+    two stacks a.u.v.pi and b.u.v.pi and compares the codes, so it needs the
+    coding and numeral-test instructions installed."""
+    _require(registry, "quote", "eq_nat")
+    return parse_term("\\a b. quote (\\n y. quote (\\p z. eq_nat n p) b) a",
+                      registry)
+
+
 def test_eq_via_codes_needs_instructions():
     with pytest.raises(LamcError):
         build_eq_via_codes(cc_registry())
@@ -305,13 +313,17 @@ def test_enumeration_rejects_bad_width():
 
 ### history codec
 
+def encode_history_entry(ms, ns, u, k):
+    return encode_list([encode_nat_tuple(ms), encode_nat_tuple(ns), u, k])
+
+
 def test_history_roundtrip():
     reg = cc_registry()
     c_a = parse_term("c_a", reg)
     k = Cont(Bottom("a0"))
     entry1 = encode_history_entry((), (), c_a, k)
     entry2 = encode_history_entry((0, 2), (1, 1), IDENT, Cont(Push(c_a, Bottom("a1"))))
-    from lamc.syntax import cons_cell, encode_list
+    from lamc.syntax import cons_cell
     hist = cons_cell(entry2, encode_list([entry1]))
     cells = decode_history(hist)
     assert cells == [
@@ -322,7 +334,6 @@ def test_history_roundtrip():
 
 def test_history_decode_fails_on_garbage():
     assert decode_history(IDENT) is None
-    from lamc.syntax import encode_list
     assert decode_history(encode_list([numeral(2)])) is None
 
 
@@ -480,7 +491,6 @@ def test_t_phi_opening_matches_template():
     c_a = parse_term("c_a", reg)
     trace = run(m, Process(t_phi, Push(c_a, Bottom("a0"))), budget=10)
     root = encode_history_entry((), (), c_a, Cont(Bottom("a0")))
-    from lamc.syntax import encode_list
     expected_t1 = App(App(App(Const("T1_leq"), encode_nat_tuple((0,))),
                           encode_nat_tuple(())), encode_list([root]))
     assert trace.steps[-1] == Process(

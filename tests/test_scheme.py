@@ -7,6 +7,7 @@ import random
 import pytest
 
 import subst_reference as ref
+from builders import collect_constants, collect_stack_constants
 from lamc.formula import builtin_formulae
 from lamc.game import FreshConstantAbelard, fresh_handle, play_g1
 from lamc.machine import Machine, MachineConfig
@@ -15,9 +16,7 @@ from lamc.scheme import (
     ThreadScheme,
     build_scripted_realizer,
     extract_scheme,
-    path_substitution,
     replay_with_substitution,
-    substitute_along,
     verify_replay,
 )
 from lamc.syntax import (
@@ -26,15 +25,12 @@ from lamc.syntax import (
     Const,
     LamcError,
     Push,
-    collect_constants,
-    collect_stack_constants,
     decode_numeral,
     numeral,
     parse_term,
     process_to_text,
     random_closed_term,
     random_stack,
-    subst_var,
 )
 
 FORMULAE = builtin_formulae()
@@ -250,30 +246,6 @@ def test_one_round_toy_wins_the_game_too():
                   FreshConstantAbelard(reg, [4]))
     assert out.eloise_won
     assert [(mv.m, mv.n) for mv in out.moves] == [(0, 4)]
-
-
-### substitution along a path
-
-def test_path_substitution_domain():
-    _, res = figure_scheme()
-    assert path_substitution(res, ()) == {}
-    sub = path_substitution(res, (1, 1))
-    assert sub == {"x1": 2, "y1": 2, "x2": 4, "y2": 0}
-    assert len(sub) == 2 * 2
-    assert path_substitution(res, (0, 0)) == {"x1": 1, "y1": 0,
-                                              "x2": 6, "y2": 0}
-
-
-def test_substitute_along_rewrites_placeholders():
-    reg, res = figure_scheme()
-    subject = parse_term("\\f. f x1 y1 x2 y2", reg,
-                         free_vars=("x1", "y1", "x2", "y2"))
-    got = substitute_along(res, (1, 1), subject)
-    want = parse_term("\\f. f #2 #2 #4 #0", reg)
-    assert got == want
-    assert substitute_along(res, (), subject) == subject
-    with pytest.raises(LamcError):
-        substitute_along(res, (5, 5), subject)
 
 
 ### substitution replay

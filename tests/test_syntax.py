@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subst_reference as ref
+from builders import collect_constants, collect_stack_constants
 from lamc.machine import MachineConfig
 from lamc.syntax import (
     MAX_NUMERAL_LITERAL,
@@ -28,11 +29,8 @@ from lamc.syntax import (
     SUCC,
     Term,
     ZERO,
-    alpha_eq,
     app,
     bind,
-    collect_constants,
-    collect_stack_constants,
     decode_numeral,
     fresh_constants,
     fv,
@@ -46,7 +44,6 @@ from lamc.syntax import (
     process_to_text,
     random_closed_term,
     random_stack,
-    stack_of,
     stack_to_text,
     subst_bound0,
     subst_const,
@@ -70,7 +67,6 @@ def test_alpha_eq_through_continuations(base_reg):
     c = parse_term("k[(\\y. y) . a1]", base_reg)
     assert a == b
     assert a != c
-    assert alpha_eq(a, b)
 
 
 def test_hints_do_not_leak_into_hash(base_reg):
@@ -78,11 +74,6 @@ def test_hints_do_not_leak_into_hash(base_reg):
     b = Lam(Bound(0), "completely_different")
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_alpha_eq_rejects_non_nodes():
-    with pytest.raises(LamcError):
-        alpha_eq("\\x. x", "\\x. x")
 
 
 ### numerals
@@ -535,20 +526,27 @@ def test_fresh_constants_skip_names_taken_in_the_other_namespace(base_reg):
     assert fresh_constants(base_reg, 1, "stack") == ["a4"]
 
 
-def test_substitutive_flag_depends_on_quote_like(base_reg, full_reg):
-    assert base_reg.is_substitutive("c_a")
-    assert base_reg.is_substitutive("a0")
-    assert not base_reg.is_substitutive("cc")
-    assert not full_reg.is_substitutive("c_a")
-    assert not full_reg.is_substitutive("a0")
+def test_quote_like_flag_depends_on_quote_and_eq(base_reg, full_reg):
+    assert not base_reg.has_quote_like
+    assert full_reg.has_quote_like
+    assert MachineConfig(quote=True).build().has_quote_like
+    assert MachineConfig(eq=True).build().has_quote_like
 
 
-def test_eq_nat_alone_keeps_substitutive():
+def test_eq_nat_alone_is_not_quote_like():
     reg = MachineConfig(eq_nat=True, inert_consts=("c_a",)).build()
-    assert reg.is_substitutive("c_a")
+    assert not reg.has_quote_like
 
 
 ### collectors and helpers
+
+def stack_of(items, bottom):
+    """Build a stack from items (top first) over a named stack constant."""
+    s = Bottom(bottom)
+    for item in reversed(list(items)):
+        s = Push(item, s)
+    return s
+
 
 def test_collectors(base_reg):
     p = parse_process("k[c_a . a1] * cc . a0", base_reg)
