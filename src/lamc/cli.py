@@ -436,7 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: a term is nested too deeply for the recursion limit",
+        print("error: input is nested too deeply for the recursion limit",
               file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -356,15 +356,6 @@ class ArithFormula:
     def f_value(self, zs: Sequence[int], ms: Sequence[int], ns: Sequence[int]) -> int:
         return eval_fn(self.fn, [*zs, *ms, *ns])
 
-    def describe(self) -> str:
-        g, h = self.leading_foralls, self.rounds
-        parts = [f"forall z{i + 1}" for i in range(g)]
-        for i in range(h):
-            parts.append(f"exists x{i + 1}")
-            parts.append(f"forall y{i + 1}")
-        head = " ".join(parts)
-        return f"{head}: {self.fn.name}(...) = 0" if head else f"{self.fn.name}(...) = 0"
-
 
 def builtin_formulae() -> dict[str, ArithFormula]:
     return {

@@ -12,6 +12,7 @@ application chain, not the beta normal form).
 from __future__ import annotations
 
 import bisect
+import re
 from typing import Callable, Iterable, Optional, Union
 
 ### tags used in hashes so different node kinds never collide
@@ -664,7 +665,7 @@ def pop_items(s: Stack, n: int) -> Optional[tuple[list[Term], Stack]]:
 ### seeded random generation (fuzz adversaries, property checks)
 
 def random_closed_term(rng, registry: Registry, max_depth: int = 4,
-                       include_consts: bool = True, allow_cont: bool = False) -> Term:
+                       allow_cont: bool = False) -> Term:
     """A random closed term; deterministic for a given rng state."""
     inert = registry.inert_names
 
@@ -672,7 +673,7 @@ def random_closed_term(rng, registry: Registry, max_depth: int = 4,
         choices = ["id", "numeral"]
         if scope > 0:
             choices.extend(["bound", "bound"])
-        if include_consts and inert:
+        if inert:
             choices.append("const")
         pick = rng.choice(choices)
         if pick == "bound":
@@ -729,278 +730,240 @@ def is_natural(x: object) -> bool:
     """A JSON natural number: an int, not a bool, at least 0."""
     return type(x) is int and x >= 0
 
-_TOKEN_SPEC = [
-    ("KLB", "k["),
-    ("LAM", "\\"),
-    ("LAM", "λ"),
-    ("DOT", "."),
-    ("LP", "("),
-    ("RP", ")"),
-    ("RB", "]"),
-    ("STAR", "*"),
-    ("HASH", "#"),
-]
+
+# a token after any whitespace: \s, \d and \w are str.isspace, str.isdecimal
+# and (str.isalnum or "_"), and a character that starts no token is matched
+# alone, to be refused
+_TOKEN = re.compile(r"\s*(k\[|[\\λ.()\]*#]|\d+|\w[\w']*|\S)")
+_PUNCTUATION = {"k[": "KLB", "\\": "LAM", "λ": "LAM", ".": "DOT", "(": "LP", ")": "RP",
+                "]": "RB", "*": "STAR", "#": "HASH"}
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self) -> None:
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            matched = False
-            for kind, lit in _TOKEN_SPEC:
-                if text.startswith(lit, i):
-                    self.tokens.append((kind, lit, i))
-                    i += len(lit)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("NAT", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_'"):
-                    j += 1
-                self.tokens.append(("IDENT", text[i:j], i))
-                i = j
-                continue
-            raise LamcParseError(f"unexpected character {ch!r}", text, i)
-        self.tokens.append(("EOF", "", n))
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.idx + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.idx]
-        if tok[0] != "EOF":
-            self.idx += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise LamcParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}",
-                                 self.text, tok[2])
-        return tok
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("EOF", "", len(text))."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        val = m[1]
+        kind = _PUNCTUATION.get(val)
+        if kind is None:
+            if val[0].isdecimal():
+                kind = "NAT"
+            # an identifier starts with a letter or "_", not with a digit like "²"
+            elif val[0].isalpha() or val[0] == "_":
+                kind = "IDENT"
+            else:
+                raise LamcParseError(f"unexpected character {val[0]!r}", text, m.start(1))
+        tokens.append((kind, val, m.start(1)))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, registry: Registry, free_vars: Iterable[str]):
-        self.lex = _Lexer(text)
-        self.registry = registry
-        self.free_vars = set(free_vars)
+def _expected(kind: str, tok: tuple[str, str, int], text: str) -> LamcParseError:
+    return LamcParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", text, tok[2])
 
-    # term := lambda | app ; app := atom+ ; lambda := '\' ident+ '.' term
-    def term(self, scope: tuple[str, ...]) -> Term:
-        kind, _, pos = self.lex.peek()
-        if kind == "LAM":
-            return self.lambda_(scope)
-        return self.app(scope)
 
-    def lambda_(self, scope: tuple[str, ...]) -> Term:
-        self.lex.expect("LAM")
-        names = []
-        while self.lex.peek()[0] == "IDENT":
-            names.append(self.lex.next()[1])
-        if not names:
-            tok = self.lex.peek()
-            raise LamcParseError("lambda wants at least one binder", self.lex.text, tok[2])
-        self.lex.expect("DOT")
-        body = self.term(tuple(reversed(names)) + scope)
-        for name in reversed(names):
-            body = Lam(body, name)
-        return body
+def _parse(text: str, registry: Registry, free_vars: Iterable[str], what: str):
+    """One loop over the tokens of a term, stack or process.
 
-    def app(self, scope: tuple[str, ...]) -> Term:
-        t = self.atom(scope)
-        if t is None:
-            tok = self.lex.peek()
-            raise LamcParseError("expected a term", self.lex.text, tok[2])
-        while True:
-            u = self.atom(scope, optional=True)
-            if u is None:
-                return t
-            t = App(t, u)
-
-    def atom(self, scope: tuple[str, ...], optional: bool = False) -> Optional[Term]:
-        kind, val, pos = self.lex.peek()
-        if kind == "IDENT":
-            self.lex.next()
+    term := ('\\' ident+ '.')* atom+, and a lambda's body runs to the end of
+    its term; stack := (term '.')* stack-constant; process := term '*' stack.
+    Only brackets nest, so the loop keeps one level per open bracket:
+    [closer, scope, binder groups, application so far, stack items or None].
+    A closed level hands its term, or k[its stack], to its parent as an atom.
+    """
+    tokens = _scan(text)
+    free = set(free_vars)
+    kinds = registry.kinds
+    levels = [["STAR" if what == "process" else "EOF", (), [], None,
+               [] if what == "stack" else None]]
+    head = None                 # a process's term, once its '*' is read
+    i = 0
+    while True:
+        level = levels[-1]
+        closer, scope, groups, t, items = level
+        kind, val, pos = tok = tokens[i]
+        i += 1
+        # a stack ends at a stack constant that no '.' follows
+        at_bottom = (kind == "IDENT" and items is not None and t is None and not groups
+                     and kinds.get(val) == "stack" and tokens[i][0] != "DOT")
+        if kind == "IDENT" and not at_bottom:
             if val in scope:
-                return Bound(scope.index(val))
-            if self.registry.is_term_name(val):
-                return Const(val)
-            if val in self.free_vars:
-                return FreeVar(val)
-            raise LamcParseError(f"unknown identifier {val!r}", self.lex.text, pos)
-        if kind == "LP":
-            self.lex.next()
-            t = self.term(scope)
-            self.lex.expect("RP")
-            return t
-        if kind == "KLB":
-            self.lex.next()
-            s = self.stack(scope)
-            self.lex.expect("RB")
-            return Cont(s)
-        if kind == "HASH":
-            self.lex.next()
-            tok = self.lex.expect("NAT")
+                atom = Bound(scope.index(val))
+            elif kinds.get(val) == "term":
+                atom = Const(val)
+            elif val in free:
+                atom = FreeVar(val)
+            else:
+                raise LamcParseError(f"unknown identifier {val!r}", text, pos)
+        elif kind == "HASH":
+            tok = tokens[i]
+            i += 1
+            if tok[0] != "NAT":
+                raise _expected("NAT", tok, text)
             # lengths first: int() refuses a string of more than 4300 digits
             digits = tok[1].lstrip("0") or "0"
             if (len(digits) > len(str(MAX_NUMERAL_LITERAL))
                     or int(digits) > MAX_NUMERAL_LITERAL):
                 raise LamcParseError(f"numeral literal above #{MAX_NUMERAL_LITERAL}",
-                                     self.lex.text, pos)
-            return numeral(int(digits))
-        if kind == "LAM":
-            # a lambda as an atom only via parentheses; bare lambda handled in term()
-            if optional:
-                return None
-            return self.lambda_(scope)
-        if optional:
-            return None
-        raise LamcParseError(f"expected a term, found {val or 'end of input'!r}",
-                             self.lex.text, pos)
-
-    # stack := term '.' stack | stack-constant
-    def stack(self, scope: tuple[str, ...]) -> Stack:
-        kind, val, pos = self.lex.peek()
-        if kind == "IDENT" and self.registry.is_stack_name(val) and self.lex.peek(1)[0] != "DOT":
-            self.lex.next()
-            return Bottom(val)
-        t = self.term(scope)
-        tok = self.lex.next()
-        if tok[0] != "DOT":
-            raise LamcParseError("stack must continue with '.' or end in a stack constant",
-                                 self.lex.text, tok[2])
-        return Push(t, self.stack(scope))
-
-    def process(self, scope: tuple[str, ...]) -> Process:
-        t = self.term(scope)
-        self.lex.expect("STAR")
-        s = self.stack(scope)
-        return Process(t, s)
-
-    def finish(self) -> None:
-        tok = self.lex.peek()
-        if tok[0] != "EOF":
-            raise LamcParseError(f"unexpected trailing input {tok[1]!r}", self.lex.text, tok[2])
+                                     text, pos)
+            atom = numeral(int(digits))
+        elif kind == "LP" or kind == "KLB":
+            levels.append(["RP", scope, [], None, None] if kind == "LP"
+                          else ["RB", scope, [], None, []])
+            continue
+        elif kind == "LAM" and t is None:
+            names = []
+            while tokens[i][0] == "IDENT":
+                names.append(tokens[i][1])
+                i += 1
+            if not names:
+                raise LamcParseError("lambda wants at least one binder", text, tokens[i][2])
+            if tokens[i][0] != "DOT":
+                raise _expected("DOT", tokens[i], text)
+            i += 1
+            level[1] = tuple(reversed(names)) + scope
+            groups.append(names)
+            continue
+        elif t is None and not at_bottom:
+            raise LamcParseError(f"expected a term, found {val or 'end of input'!r}",
+                                 text, pos)
+        else:
+            # the level's stack ends at its bottom, and its term at any other token
+            if at_bottom:
+                node = Bottom(val)
+                for item in reversed(items):
+                    node = Push(item, node)
+                tok = tokens[i]
+                i += 1
+            else:
+                node = t
+                for names in reversed(groups):
+                    for name in reversed(names):
+                        node = Lam(node, name)
+                if items is not None:
+                    if kind != "DOT":
+                        raise LamcParseError("stack must continue with '.' or end in a "
+                                             "stack constant", text, pos)
+                    items.append(node)
+                    level[1:4] = (levels[-2][1] if len(levels) > 1 else ()), [], None
+                    continue
+            if tok[0] != closer:
+                if closer == "EOF":
+                    raise LamcParseError(f"unexpected trailing input {tok[1]!r}", text, tok[2])
+                raise _expected(closer, tok, text)
+            if closer == "EOF":
+                return node if head is None else Process(head, node)
+            if closer == "STAR":
+                head = node
+                levels[0] = ["EOF", (), [], None, []]
+                continue
+            levels.pop()
+            atom = node if closer == "RP" else Cont(node)
+        level = levels[-1]
+        level[3] = atom if level[3] is None else App(level[3], atom)
 
 
 def parse_term(text: str, registry: Registry, free_vars: Iterable[str] = ()) -> Term:
     """Parse a term; identifiers must be bound, declared, or whitelisted free."""
-    p = _Parser(text, registry, free_vars)
-    t = p.term(())
-    p.finish()
-    return t
+    return _parse(text, registry, free_vars, "term")
 
 
 def parse_stack(text: str, registry: Registry, free_vars: Iterable[str] = ()) -> Stack:
-    p = _Parser(text, registry, free_vars)
-    s = p.stack(())
-    p.finish()
-    return s
+    return _parse(text, registry, free_vars, "stack")
 
 
 def parse_process(text: str, registry: Registry, free_vars: Iterable[str] = ()) -> Process:
-    p = _Parser(text, registry, free_vars)
-    pr = p.process(())
-    p.finish()
-    return pr
+    return _parse(text, registry, free_vars, "process")
 
 
 ### printer
 
-class _Printer:
-    def __init__(self, root: Node):
-        self.reserved = _names(root, (Const, FreeVar, Bottom), lambda n: n.flags)
+def _reserved_names(root: Node) -> set[str]:
+    """The names a printed binder must not take: every constant and free
+    variable in the tree."""
+    return _names(root, (Const, FreeVar, Bottom), lambda n: n.flags)
 
-    def fresh_name(self, hint: str, scope: tuple[str, ...]) -> str:
-        if hint and hint not in self.reserved and hint not in scope:
-            return hint
-        base = hint or "x"
-        i = 1
-        while True:
-            cand = f"{base}{i}"
-            if cand not in self.reserved and cand not in scope:
-                return cand
-            i += 1
 
-    def term(self, t: Term, scope: tuple[str, ...], ctx: str) -> str:
-        # ctx: "top" bare, "fn" function position, "arg" argument position
-        n = decode_numeral(t)
-        if n is not None:
-            return f"#{n}"
-        if isinstance(t, Bound):
-            if t.index < len(scope):
-                return scope[t.index]
-            return f"_{t.index - len(scope)}"
-        if isinstance(t, FreeVar):
-            return t.name
-        if isinstance(t, Const):
-            return t.name
-        if isinstance(t, Cont):
-            return f"k[{self.stack(t.stack, scope)}]"
-        if isinstance(t, Lam):
-            names = []
-            body = t
-            inner_scope = scope
-            while isinstance(body, Lam):
-                name = self.fresh_name(body.hint, inner_scope)
-                names.append(name)
-                inner_scope = (name,) + inner_scope
-                body = body.body
-            text = f"\\{' '.join(names)}. {self.term(body, inner_scope, 'top')}"
-            return f"({text})" if ctx in ("fn", "arg") else text
-        if isinstance(t, App):
-            fn = self.term(t.fn, scope, "fn")
-            arg = self.term(t.arg, scope, "arg")
-            text = f"{fn} {arg}"
-            return f"({text})" if ctx == "arg" else text
-        raise LamcError(f"cannot print {t!r}")
+def _fresh_name(hint: str, reserved: set[str], taken: set[str]) -> str:
+    """hint, unless reserved or taken holds it; then hint (x if empty) with
+    the smallest numeric suffix that neither holds."""
+    if hint and hint not in reserved and hint not in taken:
+        return hint
+    base = hint or "x"
+    i = 1
+    while (name := f"{base}{i}") in reserved or name in taken:
+        i += 1
+    return name
 
-    def stack(self, s: Stack, scope: tuple[str, ...]) -> str:
-        parts = []
-        while isinstance(s, Push):
-            item = self.term(s.top, scope, "top")
-            if isinstance(s.top, (Lam, App)) and decode_numeral(s.top) is None:
-                item = f"({item})"
-            parts.append(item)
-            s = s.rest
-        if isinstance(s, Bottom):
-            parts.append(s.name)
+
+def _print(root: Node, pieces: list) -> str:
+    """Print by popping pieces: a string is output as it is, and a
+    (node, scope, context) item pushes the pieces it prints as. The context
+    of a term is "top" bare, "fn" in function position or "arg" in argument
+    position; a lambda takes parentheses in "fn" and "arg", an application
+    in "arg". A stack item is printed as an argument."""
+    reserved = _reserved_names(root)
+    out = []
+    while pieces:
+        piece = pieces.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        t, scope, ctx = piece
+        kind = type(t)
+        if kind is Bound:
+            out.append(scope[t.index] if t.index < len(scope) else f"_{t.index - len(scope)}")
+        elif kind is Const or kind is FreeVar or kind is Bottom:
+            out.append(t.name)
+        elif kind is Cont:
+            out.append("k[")
+            pieces += ("]", (t.stack, scope, None))
+        elif kind is Push:
+            pieces += ((t.rest, scope, None), " . ", (t.top, scope, "arg"))
+        elif kind is Lam or kind is App:
+            n = decode_numeral(t)
+            if n is not None:
+                out.append(f"#{n}")
+            elif kind is Lam:
+                names = []
+                taken = set(scope)
+                while type(t) is Lam:
+                    name = _fresh_name(t.hint, reserved, taken)
+                    names.append(name)
+                    taken.add(name)
+                    t = t.body
+                if ctx != "top":
+                    out.append("(")
+                    pieces.append(")")
+                out.append(f"\\{' '.join(names)}. ")
+                pieces.append((t, (*reversed(names), *scope), "top"))
+            else:
+                if ctx == "arg":
+                    out.append("(")
+                    pieces.append(")")
+                # the spine's arguments, last first, so that the first pops first
+                while True:
+                    pieces += ((t.arg, scope, "arg"), " ")
+                    t = t.fn
+                    if type(t) is not App or (n := decode_numeral(t)) is not None:
+                        break
+                # the head prints next: a numeral at once, anything else as a piece
+                if type(t) is App:
+                    out.append(f"#{n}")
+                else:
+                    pieces.append((t, scope, "fn"))
         else:
-            raise LamcError(f"cannot print stack tail {s!r}")
-        return " . ".join(parts)
+            raise LamcError(f"cannot print a {kind.__name__}")
+    return "".join(out)
 
 
 def term_to_text(t: Term) -> str:
-    return _Printer(t).term(t, (), "top")
+    return _print(t, [(t, (), "top")])
 
 
 def stack_to_text(s: Stack) -> str:
-    return _Printer(s).stack(s, ())
+    return _print(s, [(s, (), None)])
 
 
 def process_to_text(p: Process) -> str:
-    pr = _Printer(p)
-    return f"{pr.term(p.term, (), 'arg')} * {pr.stack(p.stack, ())}"
+    return _print(p, [(p.stack, (), None), " * ", (p.term, (), "arg")])

@@ -1,5 +1,7 @@
 """Terms, parsing, printing, substitution, numerals."""
 
+import ast
+import inspect
 import random
 import sys
 import time
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subst_reference as ref
+import syntax_reference
 from builders import collect_constants, collect_stack_constants
+from lamc import syntax
 from lamc.machine import MachineConfig
 from lamc.syntax import (
     MAX_NUMERAL_LITERAL,
@@ -50,7 +54,7 @@ from lamc.syntax import (
     subst_stack_const,
     subst_var,
     term_to_text,
-    _Printer,
+    _reserved_names,
 )
 
 ### alpha equivalence
@@ -377,9 +381,134 @@ def test_name_fold_agrees_with_the_unpruned_collector(block):
     for seed in range(100 * block, 100 * block + 100):
         t, u, pi = random_inputs(seed)
         for node in (t, Process(t, pi), Push(u, pi)):
-            assert _Printer(node).reserved == ref.names_in_tree(node)
+            assert _reserved_names(node) == ref.names_in_tree(node)
             assert collect_constants(node) == ref.names_in_tree(node, Const)
             assert collect_stack_constants(node) == ref.names_in_tree(node, Bottom)
+
+
+### parsing and printing against the recursive reference
+
+# binders that shadow each other, a constant and a stack constant
+BINDERS = ("x", "y", "x", "cc", "a0")
+
+
+def random_tokens(rng, depth, what="term", scope=()):
+    """The tokens of a random term, stack or process over cc, c_a, the free
+    variable c_b and a0..a1, with k[pi], numerals across the shared table's
+    end and binders in BINDERS."""
+    if what == "process":
+        return [*random_tokens(rng, depth), "*", *random_tokens(rng, depth, "stack")]
+    if what == "stack":
+        out = []
+        for _ in range(rng.randrange(3)):
+            item = random_tokens(rng, depth - 1, "term", scope)
+            # an item that starts with a stack constant would end the stack
+            out += ["(", *item, ")", "."] if item[0] == "a0" else [*item, "."]
+        return out + [rng.choice(("a0", "a1"))]
+    out = []
+    while rng.random() < 0.3:
+        names = [rng.choice(BINDERS) for _ in range(rng.randint(1, 2))]
+        out += [rng.choice("\\λ"), *names, "."]
+        scope = (*reversed(names), *scope)
+    for _ in range(rng.randint(1, 3)):
+        pick = rng.randrange(5 if depth > 0 else 2)
+        if pick == 0:
+            out.append(rng.choice(scope + ("cc", "c_a", "c_b")))
+        elif pick == 1:
+            out += ["#", str(rng.randrange(300))]
+        elif pick < 4:
+            out += ["(", *random_tokens(rng, depth - 1, "term", scope), ")"]
+        else:
+            out += ["k[", *random_tokens(rng, depth - 1, "stack", scope), "]"]
+    return out
+
+
+def join(rng, tokens):
+    return "".join(tok + rng.choice((" ", " ", " ", "\n", "  ")) for tok in tokens)
+
+
+# an unknown name, a character that starts no token, and bad numerals: above
+# the cap, without digits, or with a name for digits. "²" is left out: the
+# reference reads it as a number.
+INSERTS = ("zz", "@", "# 100001", "#", "# x", "#0000000000000000000000099")
+
+
+def mutate(rng, tokens):
+    """tokens with one token dropped, doubled or swapped with another, or
+    with something from INSERTS put in."""
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    pick = rng.randrange(4)
+    if pick == 0:
+        del tokens[i]
+    elif pick == 1:
+        tokens.insert(i, tokens[i])
+    elif pick == 2:
+        j = rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        tokens.insert(i, rng.choice(INSERTS))
+    return tokens
+
+
+def parse_both(what, text, reg):
+    """What the loop and the reference make of text: a node, or the parse
+    error's message and position."""
+    out = []
+    for module in (syntax, syntax_reference):
+        try:
+            out.append(getattr(module, f"parse_{what}")(text, reg, free_vars=("c_b",)))
+        except LamcParseError as exc:
+            out.append((str(exc), exc.pos, exc.line, exc.col))
+    return out
+
+
+TO_TEXT = {"term": (term_to_text, syntax_reference.term_to_text),
+           "stack": (stack_to_text, syntax_reference.stack_to_text),
+           "process": (process_to_text, syntax_reference.process_to_text)}
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_parsing_and_printing_agree_with_the_recursive_reference(block):
+    reg = MachineConfig(inert_consts=("c_a",)).build()
+    for seed in range(200 * block, 200 * block + 200):
+        rng = random.Random(seed)
+        for what, (to_text, ref_to_text) in TO_TEXT.items():
+            tokens = random_tokens(rng, 4, what)
+            node, want = parse_both(what, join(rng, tokens), reg)
+            assert node == want and not isinstance(node, tuple)
+            printed = to_text(node)
+            assert printed == ref_to_text(node)
+            assert parse_both(what, printed, reg) == [node, node]
+            got, want = parse_both(what, join(rng, mutate(rng, tokens)), reg)
+            assert got == want
+            if not isinstance(got, tuple):
+                assert to_text(got) == ref_to_text(got)
+        # random nodes, with unbound indices in their subterms
+        t, u, pi = random_inputs(seed)
+        for what, nodes in (("term", subterms(t)), ("stack", [pi]),
+                            ("process", [Process(u, pi)])):
+            for node in nodes:
+                assert TO_TEXT[what][0](node) == TO_TEXT[what][1](node)
+
+
+def test_binders_with_one_hint_print_as_the_reference_prints_them():
+    t = app(Bound(0), Bound(199), Bound(100))
+    for _ in range(200):
+        t = Lam(t, "x")
+    assert term_to_text(t) == syntax_reference.term_to_text(t)
+    assert term_to_text(t).endswith(". x199 x x99")
+
+
+def test_no_function_of_the_text_layer_calls_itself():
+    tree = ast.parse(inspect.getsource(syntax))
+    layer = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+             and f.lineno > inspect.getsourcelines(syntax.check_literal)[1]]
+    assert {"_scan", "_parse", "_print", "_fresh_name"} <= {f.name for f in layer}
+    for f in layer:
+        called = {n.func.id for n in ast.walk(f)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert f.name not in called
 
 
 ### substitution on shared saved stacks
@@ -496,6 +625,36 @@ def test_substitution_in_deeply_nested_continuations(flat):
     assert flat(subst_bound0, t, ZERO) is t
     assert flat(collect_stack_constants, nested_conts(pi)) == {"a1"}
     assert flat(collect_constants, nested_conts(pi)) == {"c_a"}
+
+
+def test_parsing_deep_text(flat, base_reg):
+    assert flat(parse_term, "(" * DEEP + "c_a" + ")" * DEEP, base_reg) == Const("c_a")
+    assert flat(parse_stack, "c_a . " * DEEP + "a0", base_reg) == \
+        stack_of([Const("c_a")] * DEEP, "a0")
+    assert flat(parse_term, "k[" * (DEEP + 1) + "a0" + "] . a0" * DEEP + "]", base_reg) == \
+        nested_conts(Bottom("a0"))
+
+
+def test_printing_deep_trees(flat, base_reg):
+    nested_args = Const("c_b")
+    for _ in range(DEEP):
+        nested_args = App(Const("c_a"), nested_args)
+    distinct_hints = app(Bound(0), Bound(DEEP - 1))
+    for i in range(DEEP):
+        distinct_hints = Lam(distinct_hints, f"h{i}")
+    for t, want in (
+            (left_spine(Const("c_a"), Const("c_b")), "c_a" + " c_b" * DEEP),
+            (nested_args, "c_a (" * (DEEP - 1) + "c_a c_b" + ")" * (DEEP - 1)),
+            (nested_conts(Bottom("a0")), "k[" * (DEEP + 1) + "a0" + "] . a0" * DEEP + "]"),
+            (distinct_hints, "\\" + " ".join(f"h{i}" for i in reversed(range(DEEP)))
+             + f". h0 h{DEEP - 1}")):
+        printed = flat(term_to_text, t)
+        assert printed == want
+        assert flat(parse_term, printed, base_reg) == t
+    pi = Push(nested_args, nested_conts(Bottom("a0")).stack)
+    assert flat(parse_stack, flat(stack_to_text, pi), base_reg) == pi
+    p = Process(left_spine(Const("c_a"), Const("c_b")), pi)
+    assert flat(parse_process, flat(process_to_text, p), base_reg) == p
 
 
 ### registry
