@@ -1,15 +1,18 @@
 """Referees for the three arithmetic games.
 
-The abstract game moves numbers only. The single-thread game runs one machine
-process and watches every configuration for move shapes against the recorded
-history. It holds only the live configuration: its loop test keeps hashes,
-confirmed by a replay of the phase, and each phase's segment replays the
-phase when first read. The multi-thread game keeps every position's full
-trace alive, so a configuration visited long ago may still fire when the
-history grows, which is what lets a realizer win there by having already
-visited the right configuration. Its referee matches incrementally: each
-configuration is matched against the history once, when it is reached, and
-each history entry against the traces once, when it is recorded.
+The abstract game moves numbers only. The two machine games share one
+referee core: the history, the payoff of each complete entry, Abelard's
+answer to a play and the outcome. A play u * m.t.pi is a move on every
+incomplete entry recorded with the handle (u, pi), and Abelard's one reply
+extends each of them. The single-thread game runs one machine process and
+holds only its live configuration: its loop test keeps hashes, confirmed by
+a replay of the phase, and each phase's segment replays the phase when first
+read. The multi-thread game keeps every position's full trace alive, so a
+configuration visited long ago may still fire when the history grows, which
+is what lets a realizer win there by having already visited the right
+configuration. Its referee matches incrementally: each configuration is
+matched against the history once, when it is reached, and each history entry
+against the traces once, when it is recorded.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class History:
         self.entries: list[HistoryEntry] = []
         self.heads: set[int] = set()
         self._final_by_shape: dict[tuple[Term, Stack], list[int]] = {}
-        self._open_by_shape: dict[tuple[Term, Stack], int] = {}
+        self._open_by_shape: dict[tuple[Term, Stack], list[int]] = {}
 
     def append(self, entry: HistoryEntry) -> int:
         if entry.depth() > self.h:
@@ -88,28 +91,26 @@ class History:
         idx = len(self.entries)
         self.entries.append(entry)
         self.heads.add(entry.u._hash)
-        key = (entry.u, entry.pi)
-        if entry.depth() == self.h:
-            self._final_by_shape.setdefault(key, []).append(idx)
-        else:
-            self._open_by_shape.setdefault(key, idx)
+        by_shape = self._final_by_shape if entry.depth() == self.h \
+            else self._open_by_shape
+        by_shape.setdefault((entry.u, entry.pi), []).append(idx)
         return idx
 
     def final_matches(self, p: Process) -> list[int]:
         """Indices of complete entries whose u * pi is exactly p, earliest first."""
         return self._final_by_shape.get((p.term, p.stack), [])
 
-    def open_match(self, p: Process) -> Optional[tuple[int, int, Term]]:
-        """(entry index, move, handler) when p is u * m.t.pi for a recorded
-        incomplete entry (u, pi); earliest entry on ties."""
+    def open_match(self, p: Process) -> Optional[tuple[list[int], int, Term]]:
+        """(entry indices, move, handler) when p is u * m.t.pi for recorded
+        incomplete entries (u, pi): every such entry, earliest first. The list
+        is the history's own, so it grows as entries with (u, pi) are
+        recorded."""
         shape = play_shape(p)
         if shape is None:
             return None
         key, m, t = shape
-        idx = self._open_by_shape.get(key)
-        if idx is None:
-            return None
-        return idx, m, t
+        idxs = self._open_by_shape.get(key)
+        return None if idxs is None else (idxs, m, t)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -132,7 +133,9 @@ def play_shape(p: Process) -> Optional[tuple[tuple[Term, Stack], int, Term]]:
 
 @dataclass(frozen=True)
 class MoveContext:
-    """What Abelard sees when asked to answer a move."""
+    """What Abelard sees when asked to answer a move. A play on a handle
+    that several incomplete entries share is one move on all of them, and
+    entry is the earliest."""
 
     phi: ArithFormula
     entry: HistoryEntry
@@ -324,29 +327,87 @@ class MatchOutcome:
         }
 
 
-def _check_match_inputs(registry: Registry, realizer: Term, phi: ArithFormula,
-                        handle: tuple[Term, Stack],
-                        leading: Sequence[int]) -> None:
-    if not is_closed(realizer):
-        raise LamcError("realizer must be closed")
-    if not is_proof_like(realizer):
-        raise LamcError("realizer must be proof-like")
-    u0, pi0 = handle
-    if not is_closed(u0):
-        raise LamcError("handle term must be closed")
-    if len(leading) != phi.leading_foralls:
-        raise LamcError(
-            f"formula {phi.name} wants {phi.leading_foralls} leading "
-            f"numbers, got {len(leading)}")
+### the referee core
 
+class _Referee:
+    """What the single-thread and the multi-thread referee share: the checked
+    inputs, the machine, the history with its root entry, the start process,
+    each complete entry's payoff, Abelard's answer to a play, and the outcome,
+    whose segments and step count come from the scheduler's progress()."""
 
-def _initial_process(realizer: Term, handle: tuple[Term, Stack],
-                     leading: Sequence[int]) -> Process:
-    u0, pi0 = handle
-    stack: Stack = Push(u0, pi0)
-    for z in reversed(leading):
-        stack = Push(numeral(z), stack)
-    return Process(realizer, stack)
+    def __init__(self, registry: Registry, realizer: Term, phi: ArithFormula,
+                 handle: tuple[Term, Stack], abelard: AbelardStrategy,
+                 leading: Sequence[int],
+                 progress: Callable[[], tuple[list, int]]):
+        u0, pi0 = handle
+        if not is_closed(realizer):
+            raise LamcError("realizer must be closed")
+        if not is_proof_like(realizer):
+            raise LamcError("realizer must be proof-like")
+        if not is_closed(u0):
+            raise LamcError("handle term must be closed")
+        if len(leading) != phi.leading_foralls:
+            raise LamcError(
+                f"formula {phi.name} wants {phi.leading_foralls} leading "
+                f"numbers, got {len(leading)}")
+        self.phi, self.abelard, self.progress = phi, abelard, progress
+        self.zs = tuple(leading)
+        self.machine = Machine(registry)
+        self.history = History(phi.rounds)
+        self.history.append(HistoryEntry((), (), u0, pi0))
+        stack: Stack = Push(u0, pi0)
+        for z in reversed(self.zs):
+            stack = Push(numeral(z), stack)
+        self.start = Process(realizer, stack)
+        self.moves: list[MoveRecord] = []
+        self._payoffs: dict[int, int] = {}
+
+    def pays(self, idx: int) -> bool:
+        """Whether complete entry idx has payoff 0, evaluated once per entry."""
+        if idx not in self._payoffs:
+            e = self.history.entries[idx]
+            self._payoffs[idx] = self.phi.f_value(self.zs, e.ms, e.ns)
+        return self._payoffs[idx] == 0
+
+    def answer(self, idxs: Sequence[int], m: int, t: Term,
+               thread: Optional[int] = None,
+               config: Optional[int] = None) -> Process | MatchOutcome:
+        """Abelard's one reply (n, u', pi') to the play u * m.t.pi on the
+        incomplete entries idxs, which share the handle (u, pi): one new entry
+        and one record per entry, all under one move number, and the next
+        process t * n.u'.pi'. Without a reply the match ends."""
+        idxs = tuple(idxs)  # a reply on the handle (u, pi) joins the list
+        entries = self.history.entries
+        number = self.moves[-1].move_number + 1 if self.moves else 0
+        reply = self.abelard(MoveContext(self.phi, entries[idxs[0]], idxs[0],
+                                         m, t, number))
+        if reply is None:
+            return self.end("budget", "opponent had no further reply")
+        n, u, pi = reply
+        for idx in idxs:
+            e = entries[idx]
+            new_idx = self.history.append(
+                HistoryEntry((*e.ms, m), (*e.ns, n), u, pi))
+            self.moves.append(MoveRecord(number, idx, m, n, new_idx,
+                                         thread, config))
+        return Process(t, Push(numeral(n), Push(u, pi)))
+
+    def won(self, idx: int,
+            ref: Optional[tuple[int, int]] = None) -> MatchOutcome:
+        """Complete entry idx is reached, at configuration ref in G²."""
+        at = "" if ref is None else f" by position {ref[0]} at step {ref[1]}"
+        return self.end(None, f"complete entry {idx} reached with payoff 0{at}",
+                        idx, ref)
+
+    def end(self, reason: Optional[str], detail: str,
+            witness: Optional[int] = None,
+            ref: Optional[tuple[int, int]] = None) -> MatchOutcome:
+        """Abelard wins for reason; with no reason, Eloise wins on witness."""
+        segments, total_steps = self.progress()
+        return MatchOutcome("AbelardWin" if reason else "EloiseWin", reason,
+                            detail, self.history, self.moves, segments,
+                            witness_entry=witness, witness_ref=ref,
+                            total_steps=total_steps)
 
 
 ### the single-thread game
@@ -378,65 +439,44 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
     """One live process; a detected play abandons its continuation. A hash
     met again in a phase is confirmed by replaying the phase, so a loop ends
     it at its first repeat and a hash collision costs one replay."""
-    _check_match_inputs(registry, realizer, phi, handle, leading)
-    machine = Machine(registry)
-    history = History(phi.rounds)
-    history.append(HistoryEntry((), (), handle[0], handle[1]))
+    phases: list[_Phase] = []
+    phase_start = steps = 0
+
+    def progress():
+        return [*phases, _Phase(machine, start, steps)], phase_start + steps
+
+    ref = _Referee(registry, realizer, phi, handle, abelard, leading, progress)
+    machine, history = ref.machine, ref.history
     heads = history.heads
-    zs = tuple(leading)
-
-    p = _initial_process(realizer, handle, leading)
-    moves: list[MoveRecord] = []
-    segments: list[_Phase] = []
-    total_steps = 0
-
-    def outcome(verdict, reason, detail, witness=None):
-        segments.append(_Phase(machine, start, total_steps - phase_start))
-        return MatchOutcome(verdict, reason, detail, history, moves, segments,
-                            witness_entry=witness, total_steps=total_steps)
-
+    p = ref.start
     while True:
         # one phase: the run from start until a play abandons it
-        start, phase_start = p, total_steps
-        seen: set[int] = set()
-        for phase_steps, (p, _) in enumerate(walk(machine, start)):
-            total_steps = phase_start + phase_steps
-            hit = None
+        start, seen = p, set()
+        limit = min(phase_budget, total_budget - phase_start)
+        for steps, (p, _) in enumerate(walk(machine, start)):
             if p.term._hash in heads:
                 for idx in history.final_matches(p):
-                    e = history.entries[idx]
-                    if phi.f_value(zs, e.ms, e.ns) == 0:
-                        return outcome("EloiseWin", None,
-                                       f"complete entry {idx} reached with payoff 0",
-                                       witness=idx)
+                    if ref.pays(idx):
+                        return ref.won(idx)
                 hit = history.open_match(p)
-            if hit is not None:
-                entry_idx, m, t = hit
-                entry = history.entries[entry_idx]
-                reply = abelard(MoveContext(phi, entry, entry_idx, m, t,
-                                            len(moves)))
-                if reply is None:
-                    return outcome("AbelardWin", "budget",
-                                   "opponent had no further reply")
-                n, u_new, pi_new = reply
-                new_idx = history.append(HistoryEntry(
-                    (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
-                moves.append(MoveRecord(len(moves), entry_idx, m, n, new_idx))
-                segments.append(_Phase(machine, start, phase_steps))
-                p = Process(t, Push(numeral(n), Push(u_new, pi_new)))
-                break
+                if hit is not None:
+                    p = ref.answer(*hit)
+                    if isinstance(p, MatchOutcome):
+                        return p
+                    phases.append(_Phase(machine, start, steps))
+                    phase_start += steps
+                    break
             key = hash(p)
             if key in seen and any(
-                    q == p for q, _ in islice(walk(machine, start), phase_steps)):
-                return outcome("AbelardWin", "stuck",
-                               "the process entered a loop with no move in sight")
+                    q == p for q, _ in islice(walk(machine, start), steps)):
+                return ref.end(
+                    "stuck", "the process entered a loop with no move in sight")
             seen.add(key)
-            if phase_steps >= phase_budget:
-                return outcome("AbelardWin", "budget", "phase step budget exhausted")
-            if total_steps >= total_budget:
-                return outcome("AbelardWin", "budget", "total step budget exhausted")
+            if steps >= limit:
+                budget = "phase" if steps >= phase_budget else "total"
+                return ref.end("budget", f"{budget} step budget exhausted")
         else:
-            return outcome("AbelardWin", "stuck", "the machine is stuck")
+            return ref.end("stuck", "the machine is stuck")
 
 
 ### the multi-thread game
@@ -479,36 +519,29 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
     configuration may fire one play in its lifetime.
 
     Matching is incremental. A configuration is matched against the history
-    once, when its thread reaches it; a play shape whose incomplete entry is
-    not recorded yet waits under that entry's handle. A new complete entry is
-    looked up in every thread's configurations, and a new incomplete entry
-    releases the plays waiting on its handle, unless an earlier entry has the
-    same handle: the earliest one keeps every play on it. Wins and plays found
-    wait in heaps ordered by (thread, config, entry) and are taken in the
-    order a scan of every trace would find them, wins first; a payoff is
-    evaluated only when its candidate comes first, once per entry."""
-    _check_match_inputs(registry, realizer, phi, handle, leading)
-    if quantum < 1:
-        raise LamcError("the quantum must be at least one step")
-    machine = Machine(registry)
-    history = History(phi.rounds)
-    history.append(HistoryEntry((), (), handle[0], handle[1]))
-    heads = history.heads
-    zs = tuple(leading)
-
+    once, when its thread reaches it; a play shape whose handle no incomplete
+    entry has yet waits under that handle, and the first entry recorded with
+    it releases the play. A new complete entry is looked up in every thread's
+    configurations. A play that fires extends every incomplete entry that
+    holds its handle by then. Wins and plays found wait in heaps ordered by
+    thread, then configuration, and are taken in the order a scan of every
+    trace would find them, wins first; a payoff is evaluated only when its
+    candidate comes first, once per entry."""
     threads: list[_Thread] = []
-    wins: list[tuple[int, int, int]] = []               # thread, config, entry
-    plays: list[tuple[int, int, int, int, Term]] = []   # ... , m, handler
-    waiting: dict[tuple[Term, Stack], list[tuple[int, int, int, Term]]] = {}
-    payoffs: dict[int, int] = {}
-    moves: list[MoveRecord] = []
     total_steps = 0
 
-    def outcome(verdict, reason, detail, witness=None, ref=None):
-        segments = [list(zip(t.trace, t.rules)) for t in threads]
-        return MatchOutcome(verdict, reason, detail, history, moves, segments,
-                            witness_entry=witness, witness_ref=ref,
-                            total_steps=total_steps)
+    def progress():
+        return [list(zip(t.trace, t.rules)) for t in threads], total_steps
+
+    ref = _Referee(registry, realizer, phi, handle, abelard, leading, progress)
+    if quantum < 1:
+        raise LamcError("the quantum must be at least one step")
+    machine, history = ref.machine, ref.history
+    heads = history.heads
+
+    wins: list[tuple[int, int, int]] = []                    # thread, config, entry
+    plays: list[tuple[int, int, list[int], int, Term]] = []  # ..., entries, m, handler
+    waiting: dict[tuple[Term, Stack], list[tuple[int, int, int, Term]]] = {}
 
     def watch(t: _Thread, i: int) -> None:
         p = t.trace[i]
@@ -531,8 +564,9 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
         threads.append(t)
         watch(t, 0)
 
-    def record(entry: HistoryEntry) -> int:
-        idx = history.append(entry)
+    def record(idx: int) -> None:
+        entry = history.entries[idx]
+        key = (entry.u, entry.pi)
         if entry.depth() == phi.rounds:
             p = Process(entry.u, entry.pi)
             for t in threads:
@@ -541,45 +575,33 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
                     heapq.heappush(wins, (t.idx, i, idx))
         else:
             # a handle waits only while no entry has it, so idx is the first
-            for t_idx, i, m, handler in waiting.pop((entry.u, entry.pi), ()):
-                heapq.heappush(plays, (t_idx, i, idx, m, handler))
-        return idx
+            for t_idx, i, m, handler in waiting.pop(key, ()):
+                heapq.heappush(plays, (t_idx, i, history._open_by_shape[key],
+                                       m, handler))
 
-    spawn(_initial_process(realizer, handle, leading))
+    spawn(ref.start)
     while True:
         while wins:
             t_idx, c_idx, entry_idx = wins[0]
-            if entry_idx not in payoffs:
-                e = history.entries[entry_idx]
-                payoffs[entry_idx] = phi.f_value(zs, e.ms, e.ns)
-            if payoffs[entry_idx] == 0:
-                return outcome("EloiseWin", None,
-                               f"complete entry {entry_idx} reached with payoff 0 "
-                               f"by position {t_idx} at step {c_idx}",
-                               witness=entry_idx, ref=(t_idx, c_idx))
+            if ref.pays(entry_idx):
+                return ref.won(entry_idx, (t_idx, c_idx))
             heapq.heappop(wins)
         if plays:
-            t_idx, c_idx, entry_idx, m, handler = heapq.heappop(plays)
-            entry = history.entries[entry_idx]
-            ctx = MoveContext(phi, entry, entry_idx, m, handler, len(moves))
-            reply = abelard(ctx)
-            if reply is None:
-                return outcome("AbelardWin", "budget",
-                               "opponent had no further reply")
-            n, u_new, pi_new = reply
-            new_idx = record(HistoryEntry(
-                (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
-            moves.append(MoveRecord(len(moves), entry_idx, m, n, new_idx,
-                                    thread=t_idx, config=c_idx))
-            spawn(Process(handler, Push(numeral(n), Push(u_new, pi_new))))
+            t_idx, c_idx, idxs, m, handler = heapq.heappop(plays)
+            first = len(history)
+            p = ref.answer(idxs, m, handler, t_idx, c_idx)
+            if isinstance(p, MatchOutcome):
+                return p
+            for idx in range(first, len(history)):
+                record(idx)
+            spawn(p)
             continue
         if total_steps >= total_budget:
-            return outcome("AbelardWin", "budget", "total step budget exhausted")
+            return ref.end("budget", "total step budget exhausted")
         alive = [t for t in threads if t.alive]
         if not alive:
-            return outcome("AbelardWin", "stuck",
-                           "every position is stuck or looping and no move "
-                           "shape remains")
+            return ref.end("stuck", "every position is stuck or looping "
+                           "and no move shape remains")
         for t in alive:
             start = len(t.trace)
             total_steps += t.advance(min(quantum, total_budget - total_steps))
@@ -700,9 +722,11 @@ def minimax_g0_abelard(phi: ArithFormula, bound: int,
 
 
 def transcript_to_script(outcome: MatchOutcome) -> list[Reply]:
-    """The opponent replies recorded in a finished match, replayable in order."""
+    """The opponent replies recorded in a finished match, replayable in order:
+    one per move number, however many entries the move extended."""
     replies = []
     for mr in outcome.moves:
-        entry = outcome.history.entries[mr.new_entry_index]
-        replies.append((mr.n, entry.u, entry.pi))
+        if mr.move_number == len(replies):
+            entry = outcome.history.entries[mr.new_entry_index]
+            replies.append((mr.n, entry.u, entry.pi))
     return replies

@@ -3,7 +3,10 @@
 It keeps every configuration of a phase twice: in the phase's loop set, and
 in the outcome's segments, built as the run goes. ``lamc.game.play_g1``
 keeps only hashes and replays a phase when its segment is read; the
-differential tests check that both referees give the same outcome.
+differential tests check that both referees give the same outcome. It
+takes only its set-up from ``lamc.game._Referee`` (the checked inputs, the
+machine, the root entry and the start process) and plays every move, payoff
+and ending itself.
 """
 
 from __future__ import annotations
@@ -13,15 +16,13 @@ from typing import Optional, Sequence
 from lamc.formula import ArithFormula
 from lamc.game import (
     AbelardStrategy,
-    History,
     HistoryEntry,
     MatchOutcome,
     MoveContext,
     MoveRecord,
-    _check_match_inputs,
-    _initial_process,
+    _Referee,
 )
-from lamc.machine import Machine, walk
+from lamc.machine import walk
 from lamc.syntax import Process, Push, Registry, Stack, Term, numeral
 
 
@@ -30,16 +31,13 @@ def play_g1_eager(registry: Registry, realizer: Term, phi: ArithFormula,
                   leading: Sequence[int] = (), phase_budget: int = 10_000,
                   total_budget: int = 1_000_000) -> MatchOutcome:
     """One live process; a detected play abandons its continuation."""
-    _check_match_inputs(registry, realizer, phi, handle, leading)
-    machine = Machine(registry)
-    history = History(phi.rounds)
-    history.append(HistoryEntry((), (), handle[0], handle[1]))
-    zs = tuple(leading)
-
-    p = _initial_process(realizer, handle, leading)
-    moves: list[MoveRecord] = []
     segments: list[list[tuple[Process, Optional[str]]]] = [[]]
     total_steps = 0
+    core = _Referee(registry, realizer, phi, handle, abelard, leading,
+                    lambda: (segments, total_steps))
+    machine, history, p = core.machine, core.history, core.start
+    zs = tuple(leading)
+    moves: list[MoveRecord] = []
     move_number = 0
 
     def outcome(verdict, reason, detail, witness=None):
@@ -61,17 +59,22 @@ def play_g1_eager(registry: Registry, realizer: Term, phi: ArithFormula,
                                    witness=idx)
             hit = history.open_match(p)
             if hit is not None:
-                entry_idx, m, t = hit
-                entry = history.entries[entry_idx]
-                reply = abelard(MoveContext(phi, entry, entry_idx, m, t,
-                                            move_number))
+                # a play on a shared handle is one move on every entry with
+                # it; a copy, since a reply on the same handle joins the list
+                shared, m, t = hit
+                shared = list(shared)
+                reply = abelard(MoveContext(phi, history.entries[shared[0]],
+                                            shared[0], m, t, move_number))
                 if reply is None:
                     return outcome("AbelardWin", "budget",
                                    "opponent had no further reply")
                 n, u_new, pi_new = reply
-                new_idx = history.append(HistoryEntry(
-                    (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
-                moves.append(MoveRecord(move_number, entry_idx, m, n, new_idx))
+                for entry_idx in shared:
+                    entry = history.entries[entry_idx]
+                    new_idx = history.append(HistoryEntry(
+                        (*entry.ms, m), (*entry.ns, n), u_new, pi_new))
+                    moves.append(MoveRecord(move_number, entry_idx, m, n,
+                                            new_idx))
                 move_number += 1
                 p = Process(t, Push(numeral(n), Push(u_new, pi_new)))
                 segments.append([])

@@ -4,7 +4,9 @@ After every quantum round and every move it walks every retained
 configuration of every thread against the history again, so its cost grows
 with the square of the steps made. ``lamc.game.play_g2`` matches the same
 moves incrementally; the differential tests check that both referees give the
-same outcome.
+same outcome. It takes only its set-up from ``lamc.game._Referee`` (the
+checked inputs, the machine, the root entry and the start process) and plays
+every move, payoff and ending itself.
 """
 
 from __future__ import annotations
@@ -15,13 +17,11 @@ from typing import Optional, Sequence
 from lamc.formula import ArithFormula
 from lamc.game import (
     AbelardStrategy,
-    History,
     HistoryEntry,
     MatchOutcome,
     MoveContext,
     MoveRecord,
-    _check_match_inputs,
-    _initial_process,
+    _Referee,
 )
 from lamc.machine import Machine
 from lamc.syntax import Process, Push, Registry, Stack, Term, numeral
@@ -29,7 +29,7 @@ from lamc.syntax import Process, Push, Registry, Stack, Term, numeral
 
 @dataclass(frozen=True)
 class PlayShape:
-    entry_index: int
+    entry_indices: tuple[int, ...]
     m: int
     t: Term
 
@@ -69,23 +69,26 @@ def play_g2_rescan(registry: Registry, realizer: Term, phi: ArithFormula,
     """Every position ever reached stays alive: all traces are kept whole and
     re-examined against every new history entry, and each configuration may
     fire one play in its lifetime."""
-    _check_match_inputs(registry, realizer, phi, handle, leading)
-    machine = Machine(registry)
-    history = History(phi.rounds)
-    history.append(HistoryEntry((), (), handle[0], handle[1]))
+    threads: list[_Thread] = []
+    total_steps = 0
+
+    def segments():
+        return [list(zip(t.trace, t.rules)) for t in threads]
+
+    core = _Referee(registry, realizer, phi, handle, abelard, leading,
+                    lambda: (segments(), total_steps))
+    machine, history = core.machine, core.history
     zs = tuple(leading)
 
-    threads = [_Thread(0, _initial_process(realizer, handle, leading))]
+    threads.append(_Thread(0, core.start))
     fired: set[tuple[int, int]] = set()
     moves: list[MoveRecord] = []
-    total_steps = 0
     move_number = 0
 
     def outcome(verdict, reason, detail, witness=None, ref=None):
-        segments = [list(zip(t.trace, t.rules)) for t in threads]
-        return MatchOutcome(verdict, reason, detail, history, moves, segments,
-                            witness_entry=witness, witness_ref=ref,
-                            total_steps=total_steps)
+        return MatchOutcome(verdict, reason, detail, history, moves,
+                            segments(), witness_entry=witness,
+                            witness_ref=ref, total_steps=total_steps)
 
     def find_win() -> Optional[tuple[int, int, int]]:
         for t in threads:
@@ -103,8 +106,8 @@ def play_g2_rescan(registry: Registry, realizer: Term, phi: ArithFormula,
                     continue
                 hit = history.open_match(p)
                 if hit is not None:
-                    idx, m, handler = hit
-                    return t.idx, i, PlayShape(idx, m, handler)
+                    idxs, m, handler = hit
+                    return t.idx, i, PlayShape(tuple(idxs), m, handler)
         return None
 
     while True:
@@ -119,18 +122,21 @@ def play_g2_rescan(registry: Registry, realizer: Term, phi: ArithFormula,
         if play is not None:
             t_idx, c_idx, shape = play
             fired.add((t_idx, c_idx))
-            entry = history.entries[shape.entry_index]
-            ctx = MoveContext(phi, entry, shape.entry_index, shape.m, shape.t,
-                              move_number)
+            # one reply extends every entry that holds the handle by now
+            first = shape.entry_indices[0]
+            ctx = MoveContext(phi, history.entries[first], first, shape.m,
+                              shape.t, move_number)
             reply = abelard(ctx)
             if reply is None:
                 return outcome("AbelardWin", "budget",
                                "opponent had no further reply")
             n, u_new, pi_new = reply
-            new_idx = history.append(HistoryEntry(
-                (*entry.ms, shape.m), (*entry.ns, n), u_new, pi_new))
-            moves.append(MoveRecord(move_number, shape.entry_index, shape.m,
-                                    n, new_idx, thread=t_idx, config=c_idx))
+            for entry_idx in shape.entry_indices:
+                entry = history.entries[entry_idx]
+                new_idx = history.append(HistoryEntry(
+                    (*entry.ms, shape.m), (*entry.ns, n), u_new, pi_new))
+                moves.append(MoveRecord(move_number, entry_idx, shape.m, n,
+                                        new_idx, thread=t_idx, config=c_idx))
             move_number += 1
             threads.append(_Thread(
                 len(threads),

@@ -284,6 +284,30 @@ def test_match_json_is_deterministic_and_structured(capsys):
     assert payload["moves"][0]["thread"] == 0
 
 
+
+@pytest.mark.parametrize("game", ["g1", "g2"])
+def test_match_prints_one_line_and_one_object_per_record(capsys, tmp_path,
+                                                         game):
+    # both replies hand out the root handle, so t_phi_phi4's second play is
+    # one move on two entries: move 1 has two records
+    handle = {"u": "c_a", "pi": "a0"}
+    script = tmp_path / "shared.json"
+    script.write_text(json.dumps({"handle": handle, "replies": [
+        {"n": 0, **handle}, {"n": 0, **handle}]}), encoding="utf-8")
+    args = ("match", "--game", game, "--realizer", "t_phi_phi4",
+            "--formula", "phi4", "--abelard", str(script))
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    moves = [line.split(" [")[0] for line in out.splitlines()
+             if line.startswith("move ")]
+    assert moves == ["move 0: entry 0 + (m=0, n=0) -> entry 1",
+                     "move 1: entry 0 + (m=0, n=0) -> entry 2",
+                     "move 1: entry 1 + (m=0, n=0) -> entry 3"]
+    rc, out, _ = run_cli(capsys, *args, "--json")
+    assert [(mv["move"], mv["entry"], mv["newEntry"])
+            for mv in json.loads(out)["moves"]] == [(0, 0, 1), (1, 0, 2),
+                                                    (1, 1, 3)]
+
 ### scheme
 
 def test_scheme_toy_two_line_extraction(capsys):

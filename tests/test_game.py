@@ -100,12 +100,12 @@ def test_history_entry_validation():
 
 def detect(p, h):
     """The referees' order of lookups: a win shape on any complete entry
-    beats a play shape on an incomplete one."""
+    beats a play shape on the incomplete ones."""
     final = h.final_matches(p)
     if final:
         return ("win", final[0])
     hit = h.open_match(p)
-    return None if hit is None else ("play", *hit)
+    return None if hit is None else ("play", tuple(hit[0]), *hit[1:])
 
 
 def test_detect_win_on_complete_entry():
@@ -123,7 +123,7 @@ def test_detect_play_on_open_entry():
     h.append(HistoryEntry((), (), Const("c_a"), Bottom("a0")))
     p = Process(Const("c_a"), Push(numeral(5), Push(IDENT, Bottom("a0"))))
     ev = detect(p, h)
-    assert ev == ("play", 0, 5, IDENT)
+    assert ev == ("play", (0,), 5, IDENT)
 
 
 def test_detect_needs_literal_numeral_and_depth():
@@ -149,12 +149,20 @@ def test_detect_win_beats_play():
     assert detect(p, h) == ("win", 1)
 
 
-def test_detect_earliest_entry_wins_ties():
+def test_detect_play_on_a_shared_handle_matches_every_entry():
     h = History(2)
     h.append(HistoryEntry((), (), Const("c_a"), Bottom("a0")))
     h.append(HistoryEntry((1,), (1,), Const("c_a"), Bottom("a0")))
+    h.append(HistoryEntry((2,), (0,), Const("c_b"), Bottom("a0")))
     p = Process(Const("c_a"), Push(numeral(0), Push(IDENT, Bottom("a0"))))
-    assert detect(p, h) == ("play", 0, 0, IDENT)
+    assert detect(p, h) == ("play", (0, 1), 0, IDENT)
+    # the list is the history's own: an entry recorded later joins it
+    idxs = h.open_match(p)[0]
+    h.append(HistoryEntry((0,), (3,), Const("c_a"), Bottom("a0")))
+    assert idxs == [0, 1, 3]
+    # a complete entry with the handle is a win shape, not a play target
+    h.append(HistoryEntry((0, 0), (3, 3), Const("c_a"), Bottom("a0")))
+    assert detect(p, h) == ("play", (0, 1, 3), 0, IDENT)
 
 
 ### the abstract game
@@ -540,15 +548,11 @@ def test_g1_universal_realizer_vs_random_abelard(seed):
     assert_win_sound(out, LEQ)
 
 
-# Both seeds reply with a handle already in play, and t_phi_phi4 ends stuck
-# on a true formula in both games (ROADMAP item 1). The realizers are
-# exactly the winning strategies, so these must pass once that is mended;
-# strict, so that the mend cannot go unnoticed.
+# Both seeds reply with a handle already in play: t_phi_phi4's next play on
+# it is a move on every incomplete entry that has the handle.
 REPEATED_HANDLE_SEEDS = [1226, 736660294]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="t_phi loses when Abelard reuses a handle in play")
 @pytest.mark.parametrize("play", [play_g1, play_g2])
 @pytest.mark.parametrize("seed", REPEATED_HANDLE_SEEDS)
 def test_universal_realizer_wins_against_repeated_handles(play, seed):
@@ -714,26 +718,32 @@ def test_g2_incremental_referee_agrees_on_random_adversaries(realizer,
         play_both(match, text=seed in TEXT_SEEDS[realizer])
 
 
-def test_g2_play_reached_before_its_entry_fires_on_the_earliest_entry():
+def test_g2_play_reached_before_its_entry_fires_on_every_entry_with_its_handle():
     # thread 0 plays #0 twice on the root, then reaches c_u * #1 . K . a0
     # before any entry has the handle (c_u, a0); both replies hand out that
-    # handle, and the waiting play must go to the first of the two entries
+    # handle, so the waiting play, released by the first of the two entries,
+    # extends both when it fires: one reply, two records under one number.
+    # Only the second entry's extension has payoff 0.
     def match(play):
         reg = full_registry()
         realizer = parse_term(r"\u. u #0 (u #0 (c_u #1 (\p w. w)) c_v)", reg)
         handle = (IDENT, Push(Const("c_v"), Bottom("a0")))
-        script = [(0, Const("c_u"), Bottom("a0")),
-                  (1, Const("c_u"), Bottom("a0")),
+        script = [(1, Const("c_u"), Bottom("a0")),
+                  (0, Const("c_u"), Bottom("a0")),
                   (0, Const("c_v"), Bottom("a1"))]
         return play(reg, realizer, PHI4, handle, ScriptedAbelard(script))
 
     out = play_both(match)
     assert_win_sound(out, PHI4)
-    assert [(mv.thread, mv.config, mv.entry_index) for mv in out.moves] == [
-        (0, 3, 0), (0, 9, 0), (0, 14, 1)]
+    assert [(mv.move_number, mv.thread, mv.config, mv.entry_index,
+             mv.new_entry_index) for mv in out.moves] == [
+        (0, 0, 3, 0, 1), (1, 0, 9, 0, 2), (2, 0, 14, 1, 3), (2, 0, 14, 2, 4)]
     e1, e2 = out.history.entries[1:3]
     assert (e1.u, e1.pi) == (e2.u, e2.pi) == (Const("c_u"), Bottom("a0"))
-    assert out.history.open_match(out.segments[0][14][0])[:2] == (1, 1)
+    assert out.history.open_match(out.segments[0][14][0])[:2] == ([1, 2], 1)
+    assert out.witness_entry == 4
+    assert [(e.ms, e.ns) for e in out.history.entries[3:]] == [
+        ((0, 1), (1, 0)), ((0, 1), (0, 0))]
 
 
 @pytest.mark.parametrize("budget", [5_000, 20_000])
@@ -922,6 +932,22 @@ def test_interactive_abelard_asks_again_for_a_negative_number(monkeypatch):
                   if line.startswith("could not read that reply")]
     assert len(complaints) == 2
     assert "-3" in complaints[0]
+
+
+def test_transcript_to_script_gives_one_reply_per_move_number():
+    # RandomAbelard(1226) replies on a handle already in play, so one of the
+    # G2 moves extends two entries; its reply goes into the script once
+    reg = full_registry()
+    t_phi = build_t_phi(reg, PHI4)
+    handle = fresh_handle(reg)
+    g2 = play_g2(reg, t_phi, PHI4, handle, RandomAbelard(reg, 1226))
+    assert g2.eloise_won
+    script = transcript_to_script(g2)
+    assert (len(g2.moves), len(script)) == (5, 4)
+    g1 = play_g1(reg, t_phi, PHI4, handle, ScriptedAbelard(script))
+    assert_win_sound(g1, PHI4)
+    assert [(mv.move_number, mv.entry_index, mv.m, mv.n) for mv in g1.moves] \
+        == [(mv.move_number, mv.entry_index, mv.m, mv.n) for mv in g2.moves]
 
 
 def test_transcript_to_script_replays_the_same_replies():
