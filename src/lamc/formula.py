@@ -66,7 +66,19 @@ def _validate_dsl(expr: DslExpr, arity: int) -> None:
     raise LamcError(f"bad function expression: {expr!r}")
 
 
-def _eval_dsl(expr: DslExpr, args: tuple[int, ...]) -> int:
+# primrec iterations that one payoff evaluation may make, a second or two of
+# work: multiplication written as primrec of addition, each recursing on its
+# first argument, makes about x * x * y / 2 of them on (x, y)
+DSL_MAX_ITERATIONS = 1_000_000
+
+
+def _eval_dsl(expr: DslExpr, args: tuple[int, ...],
+              fuel: Optional[list[int]] = None) -> int:
+    """expr on args. Each primrec charges its iterations, before it makes
+    them, to fuel, which the whole evaluation shares: past
+    DSL_MAX_ITERATIONS in all the evaluation raises LamcError."""
+    if fuel is None:
+        fuel = [DSL_MAX_ITERATIONS]
     if expr == "zero":
         return 0
     if expr == "succ":
@@ -75,20 +87,24 @@ def _eval_dsl(expr: DslExpr, args: tuple[int, ...]) -> int:
     if head == "proj":
         return args[expr[1] - 1]
     if head == "compose":
-        inner = tuple(_eval_dsl(g, args) for g in expr[2])
-        return _eval_dsl(expr[1], inner)
+        inner = tuple(_eval_dsl(g, args, fuel) for g in expr[2])
+        return _eval_dsl(expr[1], inner, fuel)
     if head == "primrec":
         n, rest = args[0], args[1:]
-        acc = _eval_dsl(expr[1], rest)
+        fuel[0] -= n
+        if fuel[0] < 0:
+            raise LamcError(f"payoff evaluation passed {DSL_MAX_ITERATIONS} "
+                            f"primrec iterations")
+        acc = _eval_dsl(expr[1], rest, fuel)
         for i in range(n):
-            acc = _eval_dsl(expr[2], (i, acc) + rest)
+            acc = _eval_dsl(expr[2], (i, acc) + rest, fuel)
         return acc
     raise LamcError(f"bad function expression: {expr!r}")
 
 
 @dataclass(frozen=True)
 class PrimRecFn:
-    """A named total function on naturals: native code, a DSL expression, or both."""
+    """A named total function on naturals: native code or a DSL expression."""
 
     name: str
     arity: int
@@ -96,8 +112,9 @@ class PrimRecFn:
     dsl: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.native is None and self.dsl is None:
-            raise LamcError(f"function {self.name} needs a native or a DSL body")
+        if (self.native is None) == (self.dsl is None):
+            raise LamcError(f"function {self.name} needs one body: native code "
+                            f"or a DSL expression")
         if self.dsl is not None:
             _validate_dsl(self.dsl, self.arity)
 
@@ -122,46 +139,6 @@ def eval_fn(fn: PrimRecFn, args: Sequence[int]) -> int:
     if not isinstance(out, int) or out < 0:
         raise LamcError(f"function {fn.name} returned a non-natural: {out!r}")
     return out
-
-
-### reusable DSL pieces
-
-# written as plain lists so they serialize to JSON unchanged
-DSL_PRED = ["primrec", "zero", ["proj", 1]]
-# subrev(y, x) = x - y truncated (recursion on the first argument)
-DSL_SUBREV = ["primrec", ["proj", 1], ["compose", DSL_PRED, [["proj", 2]]]]
-DSL_TRUNCSUB = ["compose", DSL_SUBREV, [["proj", 2], ["proj", 1]]]
-DSL_ADD = ["primrec", ["proj", 1], ["compose", "succ", [["proj", 2]]]]
-DSL_MULT = ["primrec", "zero", ["compose", DSL_ADD, [["proj", 2], ["proj", 3]]]]
-# sign(n) = 0 for 0, else 1
-DSL_SIGN = ["primrec", "zero", ["compose", "succ", ["zero"]]]
-DSL_ONE2 = ["compose", "succ", ["zero"]]
-# pick_nonzero(x, y) = x if x > 0 else y, written x + (1 - x) * y
-DSL_PICK = ["compose", DSL_ADD, [
-    ["proj", 1],
-    ["compose", DSL_MULT, [
-        ["compose", DSL_TRUNCSUB, [DSL_ONE2, ["proj", 1]]],
-        ["proj", 2],
-    ]],
-]]
-DSL_LEQ01 = ["compose", DSL_SIGN, [["compose", DSL_TRUNCSUB, [["proj", 1], ["proj", 2]]]]]
-
-# phi4 payoff: 0 iff x1 = y1 or pick(x1,x2) > pick(y1,y2), on (x1, x2, y1, y2)
-_P1, _P2, _P3, _P4 = (["proj", i] for i in (1, 2, 3, 4))
-_G_X = ["compose", DSL_PICK, [_P1, _P2]]
-_G_Y = ["compose", DSL_PICK, [_P3, _P4]]
-_GT = ["compose", DSL_SIGN, [["compose", DSL_TRUNCSUB, [_G_X, _G_Y]]]]
-_EQ01 = ["compose", DSL_TRUNCSUB, [
-    DSL_ONE2,
-    ["compose", DSL_ADD, [
-        ["compose", DSL_SIGN, [["compose", DSL_TRUNCSUB, [_P1, _P3]]]],
-        ["compose", DSL_SIGN, [["compose", DSL_TRUNCSUB, [_P3, _P1]]]],
-    ]],
-]]
-DSL_PHI4 = ["compose", DSL_TRUNCSUB, [
-    ["compose", "succ", ["zero"]],
-    ["compose", DSL_ADD, [_EQ01, _GT]],
-]]
 
 
 def _pick_nonzero(x: int, y: int) -> int:
@@ -321,19 +298,17 @@ def _halt01(m: int, n: int) -> int:
 NATIVE_FNS: dict[str, PrimRecFn] = {}
 
 
-def _register_native(name: str, arity: int, fn: Callable[..., int],
-                     dsl: Optional[list] = None) -> PrimRecFn:
-    prf = PrimRecFn(name, arity, native=fn, dsl=_freeze_dsl(dsl) if dsl else None)
-    NATIVE_FNS[name] = prf
+def _register_native(name: str, arity: int, fn: Callable[..., int]) -> PrimRecFn:
+    prf = NATIVE_FNS[name] = PrimRecFn(name, arity, native=fn)
     return prf
 
 
-FN_LEQ01 = _register_native("leq01", 2, lambda x, y: 0 if x <= y else 1, DSL_LEQ01)
-FN_ADD = _register_native("add", 2, lambda x, y: x + y, DSL_ADD)
-FN_TRUNCSUB = _register_native("truncsub", 2, lambda x, y: max(x - y, 0), DSL_TRUNCSUB)
-FN_MULT = _register_native("mult", 2, lambda x, y: x * y, DSL_MULT)
-FN_PICK = _register_native("pick_nonzero", 2, _pick_nonzero, DSL_PICK)
-FN_PHI4 = _register_native("phi4f", 4, _phi4_native, DSL_PHI4)
+FN_LEQ01 = _register_native("leq01", 2, lambda x, y: 0 if x <= y else 1)
+FN_ADD = _register_native("add", 2, lambda x, y: x + y)
+FN_TRUNCSUB = _register_native("truncsub", 2, lambda x, y: max(x - y, 0))
+FN_MULT = _register_native("mult", 2, lambda x, y: x * y)
+FN_PICK = _register_native("pick_nonzero", 2, _pick_nonzero)
+FN_PHI4 = _register_native("phi4f", 4, _phi4_native)
 FN_F_HALT = _register_native("f_halt", 3, _f_halt)
 FN_HALT01 = _register_native("halt01", 2, _halt01)
 

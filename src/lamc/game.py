@@ -4,15 +4,15 @@ The abstract game moves numbers only. The two machine games share one
 referee core: the history, the payoff of each complete entry, Abelard's
 answer to a play and the outcome. A play u * m.t.pi is a move on every
 incomplete entry recorded with the handle (u, pi), and Abelard's one reply
-extends each of them. The single-thread game runs one machine process and
-holds only its live configuration: its loop test keeps hashes, confirmed by
-a replay of the phase, and each phase's segment replays the phase when first
-read. The multi-thread game keeps every position's full trace alive, so a
-configuration visited long ago may still fire when the history grows, which
-is what lets a realizer win there by having already visited the right
-configuration. Its referee matches incrementally: each configuration is
-matched against the history once, when it is reached, and each history entry
-against the traces once, when it is recorded.
+extends each of them. Both store a run alike, holding only its live
+configuration and one hash per configuration reached; a run replays itself
+to confirm a hash hit and when its segment is first read. The single-thread
+game runs one process, abandoned at each play. The multi-thread game keeps
+every position alive, so a configuration visited long ago may still fire
+when the history grows, which is what lets a realizer win there by having
+already visited the right configuration. Its referee matches incrementally:
+each configuration is matched against the history once, when it is reached,
+and each history entry against the runs once, when it is recorded.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .formula import ArithFormula, truth_oracle_g0
 from .machine import Machine, walk
@@ -410,27 +410,41 @@ class _Referee:
                             total_steps=total_steps)
 
 
-### the single-thread game
+### the run of a G¹ phase or a G² position
 
-class _Phase(Sequence):
-    """One phase of a single-thread match as (configuration, rule) pairs: the
-    walk from start, steps long. Its length needs no replay; the first read
-    replays the walk on the match's machine, whose quote table already holds
-    every code that the replay meets, and keeps it."""
+class _Run(Sequence):
+    """A G¹ phase or a G² position: the walk from start, steps long, as
+    (configuration, rule) pairs. Until the match ends it holds the live walk
+    and the hash of each configuration kept. Its length needs no replay; the
+    first read replays the walk on the match's machine, whose quote table
+    already holds every code that the replay meets, and keeps it."""
 
-    def __init__(self, machine: Machine, start: Process, steps: int):
-        self._machine, self._start, self._steps = machine, start, steps
+    def __init__(self, machine: Machine, start: Process):
+        self._machine, self._start, self.steps = machine, start, 0
+        self.walk: Optional[Iterator] = walk(machine, start)
+        self.hashes: Optional[set[int]] = set()
+
+    def find(self, p: Process) -> Optional[int]:
+        """The first index at most steps whose configuration is p, by a replay."""
+        replay = islice(walk(self._machine, self._start), self.steps + 1)
+        return next((i for i, (q, _) in enumerate(replay) if q == p), None)
+
+    def close(self) -> None:
+        """Drop the walk and the hashes: what is left is what a replay needs."""
+        self.walk = self.hashes = None
 
     @cached_property
     def _configs(self) -> list[tuple[Process, Optional[str]]]:
-        return list(islice(walk(self._machine, self._start), self._steps + 1))
+        return list(islice(walk(self._machine, self._start), self.steps + 1))
 
     def __len__(self) -> int:
-        return self._steps + 1
+        return self.steps + 1
 
     def __getitem__(self, i):
         return self._configs[i]
 
+
+### the single-thread game
 
 def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
             handle: tuple[Term, Stack], abelard: AbelardStrategy,
@@ -438,22 +452,26 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
             total_budget: int = 1_000_000) -> MatchOutcome:
     """One live process; a detected play abandons its continuation. A hash
     met again in a phase is confirmed by replaying the phase, so a loop ends
-    it at its first repeat and a hash collision costs one replay."""
-    phases: list[_Phase] = []
-    phase_start = steps = 0
+    it at its first repeat, which the phase keeps, and a hash collision costs
+    one replay."""
+    runs: list[_Run] = []
+    phase_start = 0
 
     def progress():
-        return [*phases, _Phase(machine, start, steps)], phase_start + steps
+        runs[-1].close()
+        return runs, phase_start + runs[-1].steps
 
     ref = _Referee(registry, realizer, phi, handle, abelard, leading, progress)
     machine, history = ref.machine, ref.history
     heads = history.heads
     p = ref.start
     while True:
-        # one phase: the run from start until a play abandons it
-        start, seen = p, set()
+        # one phase: the run from p until a play abandons it
+        run = _Run(machine, p)
+        runs.append(run)
+        seen = run.hashes
         limit = min(phase_budget, total_budget - phase_start)
-        for steps, (p, _) in enumerate(walk(machine, start)):
+        for run.steps, (p, _) in enumerate(run.walk):
             if p.term._hash in heads:
                 for idx in history.final_matches(p):
                     if ref.pays(idx):
@@ -463,17 +481,16 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
                     p = ref.answer(*hit)
                     if isinstance(p, MatchOutcome):
                         return p
-                    phases.append(_Phase(machine, start, steps))
-                    phase_start += steps
+                    run.close()
+                    phase_start += run.steps
                     break
             key = hash(p)
-            if key in seen and any(
-                    q == p for q, _ in islice(walk(machine, start), steps)):
+            if key in seen and run.find(p) < run.steps:
                 return ref.end(
                     "stuck", "the process entered a loop with no move in sight")
             seen.add(key)
-            if steps >= limit:
-                budget = "phase" if steps >= phase_budget else "total"
+            if run.steps >= limit:
+                budget = "phase" if run.steps >= phase_budget else "total"
                 return ref.end("budget", f"{budget} step budget exhausted")
         else:
             return ref.end("stuck", "the machine is stuck")
@@ -481,57 +498,32 @@ def play_g1(registry: Registry, realizer: Term, phi: ArithFormula,
 
 ### the multi-thread game
 
-class _Thread:
-    """One keep-everything position: its walk and every configuration reached."""
-
-    def __init__(self, idx: int, machine: Machine, p: Process):
-        self.idx = idx
-        self.trace: list[Process] = [p]
-        self.rules: list[Optional[str]] = [None]
-        self.alive = True
-        self._seen: dict[Process, int] = {p: 0}
-        self._walk = walk(machine, p)
-        next(self._walk)  # (p, None), already recorded
-
-    def advance(self, budget: int) -> int:
-        """At most budget steps. The thread dies stuck, or on a step into a
-        configuration it holds: that step counts, the configuration is not kept."""
-        steps = 0
-        for p, rule in islice(self._walk, budget):
-            steps += 1
-            if p in self._seen:
-                self.alive = False
-                return steps
-            self._seen[p] = len(self.trace)
-            self.trace.append(p)
-            self.rules.append(rule)
-        if steps < budget:
-            self.alive = False
-        return steps
-
-
 def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
             handle: tuple[Term, Stack], abelard: AbelardStrategy,
             leading: Sequence[int] = (), quantum: int = 256,
             total_budget: int = 100_000) -> MatchOutcome:
-    """Every position ever reached stays alive: all traces are kept whole, any
-    configuration may win on an entry recorded after it was reached, and each
-    configuration may fire one play in its lifetime.
+    """Every position ever reached stays alive: any configuration may win on
+    an entry recorded after it was reached, and each configuration may fire
+    one play in its lifetime. A position is a run, as a G¹ phase is; it dies
+    stuck or on a step into a configuration it holds, a hash met again
+    confirmed by a replay. That step counts, the configuration is not kept.
 
     Matching is incremental. A configuration is matched against the history
     once, when its thread reaches it; a play shape whose handle no incomplete
     entry has yet waits under that handle, and the first entry recorded with
-    it releases the play. A new complete entry is looked up in every thread's
-    configurations. A play that fires extends every incomplete entry that
-    holds its handle by then. Wins and plays found wait in heaps ordered by
-    thread, then configuration, and are taken in the order a scan of every
-    trace would find them, wins first; a payoff is evaluated only when its
-    candidate comes first, once per entry."""
-    threads: list[_Thread] = []
+    it releases the play. A new complete entry is looked up by hash in every
+    thread, a hit confirmed by a replay. A play that fires extends every
+    incomplete entry that holds its handle by then. Wins and plays found wait
+    in heaps ordered by thread, then configuration, and are taken in the order
+    a scan of every run would find them, wins first; a payoff is evaluated
+    only when its candidate comes first, once per entry."""
+    threads: list[_Run] = []
     total_steps = 0
 
     def progress():
-        return [list(zip(t.trace, t.rules)) for t in threads], total_steps
+        for t in threads:
+            t.close()
+        return threads, total_steps
 
     ref = _Referee(registry, realizer, phi, handle, abelard, leading, progress)
     if quantum < 1:
@@ -543,36 +535,56 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
     plays: list[tuple[int, int, list[int], int, Term]] = []  # ..., entries, m, handler
     waiting: dict[tuple[Term, Stack], list[tuple[int, int, int, Term]]] = {}
 
-    def watch(t: _Thread, i: int) -> None:
-        p = t.trace[i]
+    def watch(t_idx: int, i: int, p: Process) -> None:
         known = p.term._hash in heads
         if known:
             for idx in history.final_matches(p):
-                heapq.heappush(wins, (t.idx, i, idx))
+                heapq.heappush(wins, (t_idx, i, idx))
         shape = play_shape(p)
         if shape is None:
             return
         hit = history.open_match(p) if known else None
         if hit is not None:
-            heapq.heappush(plays, (t.idx, i, *hit))
+            heapq.heappush(plays, (t_idx, i, *hit))
         else:
             key, m, handler = shape
-            waiting.setdefault(key, []).append((t.idx, i, m, handler))
+            waiting.setdefault(key, []).append((t_idx, i, m, handler))
 
     def spawn(p: Process) -> None:
-        t = _Thread(len(threads), machine, p)
+        t = _Run(machine, p)
+        next(t.walk)  # (p, None)
+        t.hashes.add(hash(p))
         threads.append(t)
-        watch(t, 0)
+        watch(len(threads) - 1, 0, p)
+
+    def advance(t_idx: int, budget: int) -> int:
+        """At most budget steps of thread t_idx; a dead thread drops its walk."""
+        t = threads[t_idx]
+        made = 0
+        for p, _ in islice(t.walk, budget):
+            made += 1
+            key = hash(p)
+            if key in t.hashes and t.find(p) is not None:
+                t.walk = None
+                return made
+            t.hashes.add(key)
+            t.steps += 1
+            watch(t_idx, t.steps, p)
+        if made < budget:
+            t.walk = None
+        return made
 
     def record(idx: int) -> None:
         entry = history.entries[idx]
         key = (entry.u, entry.pi)
         if entry.depth() == phi.rounds:
             p = Process(entry.u, entry.pi)
-            for t in threads:
-                i = t._seen.get(p)
-                if i is not None:
-                    heapq.heappush(wins, (t.idx, i, idx))
+            h = hash(p)
+            for t_idx, t in enumerate(threads):
+                if h in t.hashes:
+                    i = t.find(p)
+                    if i is not None:
+                        heapq.heappush(wins, (t_idx, i, idx))
         else:
             # a handle waits only while no entry has it, so idx is the first
             for t_idx, i, m, handler in waiting.pop(key, ()):
@@ -598,15 +610,12 @@ def play_g2(registry: Registry, realizer: Term, phi: ArithFormula,
             continue
         if total_steps >= total_budget:
             return ref.end("budget", "total step budget exhausted")
-        alive = [t for t in threads if t.alive]
+        alive = [i for i, t in enumerate(threads) if t.walk is not None]
         if not alive:
             return ref.end("stuck", "every position is stuck or looping "
                            "and no move shape remains")
-        for t in alive:
-            start = len(t.trace)
-            total_steps += t.advance(min(quantum, total_budget - total_steps))
-            for i in range(start, len(t.trace)):
-                watch(t, i)
+        for t_idx in alive:
+            total_steps += advance(t_idx, min(quantum, total_budget - total_steps))
 
 
 ### the abstract game

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from dsl_twins import DSL_MULT
 from lamc.cli import main
+from lamc.formula import DSL_MAX_ITERATIONS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WILD = str(FIXTURES / "wild.json")
@@ -579,6 +581,20 @@ def test_huge_answers_are_refused(capsys):
         rc, out, err = run_cli(capsys, *argv, "--answers", f"0,{HUGE}")
         assert (rc, out) == (2, "")
         assert err == f"error: --answers {HUGE} is above #100000\n"
+
+
+def test_a_dsl_payoff_past_its_iteration_cap_exits_2(tmp_path):
+    # mult(1000, 1000) in the DSL makes about 5 * 10**8 primrec iterations,
+    # minutes of work: the cap stops it after about a second
+    path = tmp_path / "mult.json"
+    path.write_text(json.dumps({"mult0": {
+        "leadingForall": 2, "rounds": 0, "fn": {"arity": 2, "dsl": DSL_MULT}}}))
+    proc = run_module("oracle", "--formula", "mult0", "--formula-file",
+                      str(path), "--bound", "0", "--leading", "1000,1000",
+                      timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: payoff evaluation passed "
+                           f"{DSL_MAX_ITERATIONS} primrec iterations\n")
 
 
 def test_negative_match_numbers_still_exit_2(capsys):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsl_twins import DSL_ADD, TWINS
+from lamc import formula
 from lamc.formula import (
     ArithFormula,
     FN_ADD,
@@ -24,6 +26,7 @@ from lamc.formula import (
     PrimRecFn,
     TuringMachineTable,
     _eval_dsl,
+    _freeze_dsl,
     builtin_formulae,
     decode_table,
     encode_table,
@@ -91,17 +94,41 @@ def test_dsl_validation_catches_arity():
         PrimRecFn("empty", 1)
 
 
+def test_a_function_has_exactly_one_body():
+    with pytest.raises(LamcError, match="needs one body"):
+        PrimRecFn("both", 2, native=lambda x, y: x + y, dsl=_freeze_dsl(DSL_ADD))
+    assert all(fn.dsl is None for fn in NATIVE_FNS.values())
+
+
+def dsl_twin(fn):
+    """fn's DSL twin as a checked function of fn's arity."""
+    return PrimRecFn(f"{fn.name}_dsl", fn.arity, dsl=_freeze_dsl(TWINS[fn.name]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 12), min_size=2, max_size=2))
 def test_dsl_twins_agree_binary(args):
     for fn in (FN_ADD, FN_TRUNCSUB, FN_MULT, FN_PICK, FN_LEQ01):
-        assert _eval_dsl(fn.dsl, tuple(args)) == fn.native(*args)
+        assert _eval_dsl(dsl_twin(fn).dsl, tuple(args)) == fn.native(*args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 8), min_size=4, max_size=4))
 def test_dsl_twin_agrees_phi4(args):
-    assert _eval_dsl(FN_PHI4.dsl, tuple(args)) == FN_PHI4.native(*args)
+    assert _eval_dsl(dsl_twin(FN_PHI4).dsl, tuple(args)) == FN_PHI4.native(*args)
+
+
+def test_dsl_evaluation_stops_at_its_iteration_cap(monkeypatch):
+    add, mult = dsl_twin(FN_ADD), dsl_twin(FN_MULT)
+    monkeypatch.setattr(formula, "DSL_MAX_ITERATIONS", 100)
+    assert eval_fn(add, [100, 0]) == 100
+    with pytest.raises(LamcError, match="passed 100 primrec iterations"):
+        eval_fn(add, [101, 0])
+    # mult(x, 10) makes x iterations, then adds 10 to 0, 10, 20, ... by
+    # recursion on the accumulator: the nested loops share one count
+    assert eval_fn(mult, [4, 10]) == 40  # 4 + 0 + 10 + 20 + 30
+    with pytest.raises(LamcError, match="primrec iterations"):
+        eval_fn(mult, [5, 10])  # 5 + 0 + 10 + 20 + 30 + 40
 
 
 def test_phi4_values_from_the_match_table():
