@@ -10,6 +10,7 @@ default step budget wherever --steps is not given explicitly.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -341,6 +342,10 @@ def cmd_list(args) -> int:
 
 ### wiring
 
+# Built on the first call and shared by every later one: parse_args returns
+# a fresh Namespace, no default depends on the environment (LAMC_STEPS is
+# read by the commands), and help text is wrapped to COLUMNS when printed.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamc",
@@ -428,8 +433,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one lamc command and return its exit code. The argument parser
+    is built on the first call and reused by later calls in the same
+    process, so an in-process caller pays for building it once."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except LamcError as exc:

@@ -367,12 +367,18 @@ def numeral(n: int) -> Term:
 
 
 def decode_numeral(t: Term) -> Optional[int]:
-    """Strictly read back a literal numeral, None on anything else."""
+    """Strictly read back a literal numeral, None on anything else. Each
+    link's function is compared with SUCC until one is found equal; later
+    links that hold that same node pass by identity, so a chain built on one
+    parsed copy of SUCC is compared structurally once, not once a link."""
     n = 0
+    succ = SUCC
     while isinstance(t, App):
         fn = t.fn
-        if not (fn is SUCC or (fn._hash == _SUCC_HASH and _structural_eq(fn, SUCC))):
-            return None
+        if fn is not succ:
+            if fn._hash != _SUCC_HASH or not _structural_eq(fn, SUCC):
+                return None
+            succ = fn
         n += 1
         t = t.arg
     if t is ZERO or (t._hash == _ZERO_HASH and _structural_eq(t, ZERO)):
@@ -513,27 +519,34 @@ def _rewrite(root: Node, visit: Callable[[Node, int], Optional[Node]],
     return done[0]
 
 
-def _names(root: Node, kinds: tuple[type, ...],
-           wanted: Callable[[Node], bool]) -> set[str]:
+def _names(root: Node, kinds: tuple[type, ...], mask: int) -> set[str]:
     """Names of the leaves of the given kinds anywhere in the tree, inside
-    k[pi] too; a subtree for which wanted() is false is skipped."""
+    k[pi] too; a subtree whose flags share no bit with mask is skipped. Each
+    inner node is expanded once, so a stack saved over itself costs its DAG,
+    not its tree."""
     out: set[str] = set()
     todo: list[Node] = [root]
+    expanded: set[int] = set()
     while todo:
         n = todo.pop()
-        if not wanted(n):
+        if not n.flags & mask:
             continue
         if isinstance(n, kinds):
             out.add(n.name)
-        elif isinstance(n, Lam):
-            todo.append(n.body)
-        elif isinstance(n, App):
+            continue
+        if id(n) in expanded:
+            continue
+        expanded.add(id(n))
+        kind = type(n)
+        if kind is App:
             todo += (n.fn, n.arg)
-        elif isinstance(n, Cont):
-            todo.append(n.stack)
-        elif isinstance(n, Push):
+        elif kind is Push:
             todo += (n.top, n.rest)
-        elif isinstance(n, Process):
+        elif kind is Lam:
+            todo.append(n.body)
+        elif kind is Cont:
+            todo.append(n.stack)
+        elif kind is Process:
             todo += (n.term, n.stack)
     return out
 
@@ -717,6 +730,12 @@ def random_stack(rng, registry: Registry, max_depth: int = 3,
 # is capped far above any written by hand; numeral() itself takes any n.
 MAX_NUMERAL_LITERAL = 100_000
 
+# A saved stack pushed over itself prints twice, so a short run can reach a
+# configuration whose text doubles with every cc. Printing refuses a text
+# longer than this many characters (bytes, for ASCII names): about five
+# times the longest that any test, fixture or benchmark prints.
+MAX_TEXT_BYTES = 1 << 22
+
 
 def check_literal(n: int, what: str) -> int:
     """n itself, refused above MAX_NUMERAL_LITERAL: a number read from the
@@ -881,7 +900,8 @@ def parse_process(text: str, registry: Registry, free_vars: Iterable[str] = ()) 
 def _reserved_names(root: Node) -> set[str]:
     """The names a printed binder must not take: every constant and free
     variable in the tree."""
-    return _names(root, (Const, FreeVar, Bottom), lambda n: n.flags)
+    return _names(root, (Const, FreeVar, Bottom),
+                  HAS_FREE | HAS_CONST | HAS_STACKNAME)
 
 
 def _fresh_name(hint: str, reserved: set[str], taken: set[str]) -> str:
@@ -901,7 +921,9 @@ def _print(root: Node, pieces: list) -> str:
     (node, scope, context) item pushes the pieces it prints as. The context
     of a term is "top" bare, "fn" in function position or "arg" in argument
     position; a lambda takes parentheses in "fn" and "arg", an application
-    in "arg". A stack item is printed as an argument."""
+    in "arg". A stack item is printed as an argument. A text longer than
+    MAX_TEXT_BYTES characters raises LamcError; no output piece is empty, so
+    the loop stops once it holds more pieces than that."""
     reserved = _reserved_names(root)
     out = []
     while pieces:
@@ -909,6 +931,8 @@ def _print(root: Node, pieces: list) -> str:
         if type(piece) is str:
             out.append(piece)
             continue
+        if len(out) > MAX_TEXT_BYTES:
+            break
         t, scope, ctx = piece
         kind = type(t)
         if kind is Bound:
@@ -954,7 +978,10 @@ def _print(root: Node, pieces: list) -> str:
                     pieces.append((t, scope, "fn"))
         else:
             raise LamcError(f"cannot print a {kind.__name__}")
-    return "".join(out)
+    text = "".join(out)
+    if len(text) > MAX_TEXT_BYTES:
+        raise LamcError(f"printed text passes {MAX_TEXT_BYTES} characters")
+    return text
 
 
 def term_to_text(t: Term) -> str:

@@ -52,9 +52,9 @@ def leq_round_gate(registry, u, code):
 
 def collect_constants(node):
     """Names of all term constants occurring anywhere in the node."""
-    return _names(node, (Const,), lambda n: n.flags & HAS_CONST)
+    return _names(node, (Const,), HAS_CONST)
 
 
 def collect_stack_constants(node):
     """Names of all stack constants occurring anywhere in the node."""
-    return _names(node, (Bottom,), lambda n: n.flags & HAS_STACKNAME)
+    return _names(node, (Bottom,), HAS_STACKNAME)

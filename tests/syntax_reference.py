@@ -7,12 +7,21 @@ recurse once per level of nesting. `lamc.syntax` does the same work with
 one scanner, one parse loop and one print loop; the tests require the two
 to give equal nodes, the same error messages at the same positions, and
 the same text.
+
+decode_numeral here compares every successor link with SUCC, where
+`lamc.syntax` checks later links that hold an already matched node by
+identity; the two must read back the same number or None.
 """
 
 from typing import Iterable, Optional
 
 from lamc.syntax import (
+    HAS_CONST,
+    HAS_FREE,
+    HAS_STACKNAME,
     MAX_NUMERAL_LITERAL,
+    SUCC,
+    ZERO,
     App,
     Bottom,
     Bound,
@@ -29,9 +38,24 @@ from lamc.syntax import (
     Stack,
     Term,
     _names,
-    decode_numeral,
+    _structural_eq,
     numeral,
 )
+
+
+def decode_numeral(t: Term) -> Optional[int]:
+    """Strictly read back a literal numeral, None on anything else."""
+    n = 0
+    while isinstance(t, App):
+        fn = t.fn
+        if not (fn is SUCC or (fn._hash == SUCC._hash and _structural_eq(fn, SUCC))):
+            return None
+        n += 1
+        t = t.arg
+    if t is ZERO or (t._hash == ZERO._hash and _structural_eq(t, ZERO)):
+        return n
+    return None
+
 
 _TOKEN_SPEC = [
     ("KLB", "k["),
@@ -236,7 +260,8 @@ def parse_process(text: str, registry: Registry, free_vars: Iterable[str] = ()) 
 
 class _Printer:
     def __init__(self, root: Node):
-        self.reserved = _names(root, (Const, FreeVar, Bottom), lambda n: n.flags)
+        self.reserved = _names(root, (Const, FreeVar, Bottom),
+                               HAS_FREE | HAS_CONST | HAS_STACKNAME)
 
     def fresh_name(self, hint: str, scope: tuple[str, ...]) -> str:
         if hint and hint not in self.reserved and hint not in scope:

@@ -1,6 +1,8 @@
 """Front-end tests: exit codes, worked examples, JSON determinism."""
 
+import argparse
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -9,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from dsl_twins import DSL_MULT
-from lamc.cli import main
+from lamc.cli import _build_parser, main
 from lamc.formula import DSL_MAX_ITERATIONS
+from lamc.syntax import MAX_TEXT_BYTES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WILD = str(FIXTURES / "wild.json")
@@ -457,11 +460,82 @@ def test_module_entry_point_runs():
     assert "terminal: stuck" in proc.stdout
 
 
-def run_module(*argv, stdin=None, timeout=None):
+def run_module(*argv, stdin=None, timeout=None, preexec_fn=None):
     """The CLI in a fresh interpreter, at Python's default recursion limit."""
     return subprocess.run([sys.executable, "-m", "lamc.cli", *argv],
                           capture_output=True, text=True, input=stdin,
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=preexec_fn)
+
+
+### one parser for every call in a process
+
+# every subcommand, with an unknown option and a help request between them
+SEQUENCE = [
+    ("eval", r"(\x.x) (\x.x) * a0", "--trace"),
+    ("match", "--game", "g2", "--realizer", "t_phi_leq", "--formula", "leq",
+     "--abelard", "random", "--seed", "3", "--json"),
+    ("oracle", "--formula", "leq", "--bound", "3"),
+    ("eval", "c_a * a0", "--bogus"),
+    ("scheme", "--realizer", "scheme_demo", "--formula", "phi4",
+     "--answers", "4"),
+    ("eval", "--help"),
+    ("list",),
+    ("match", "--game", "g1", "--realizer", "t_halt", "--formula", "halt",
+     "--abelard", HALT3),
+    ("eval", "c_a * a0"),
+]
+
+
+def call_main(capsys, argv):
+    """main(argv) in this process, with argparse's exits as exit codes."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys,
+                                                               monkeypatch):
+    # help text is wrapped to COLUMNS, which the children inherit
+    monkeypatch.setenv("COLUMNS", "80")
+    _build_parser.cache_clear()
+    for argv in SEQUENCE:
+        proc = run_module(*argv, timeout=60)
+        assert call_main(capsys, argv) == \
+            (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    main(["list"])
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["list"], ["oracle", "--formula", "leq", "--bound", "2"],
+                 ["eval", "c_a * a0"]):
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *args, **kwargs):\n"
+             "    built.append(self)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import lamc.cli\n"
+             "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_eval_of_deeply_nested_parentheses_succeeds():
@@ -522,6 +596,23 @@ def test_eval_of_a_huge_numeral_literal_is_an_error_not_a_hang(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: numeral literal above #100000 at line 1, column 1")
+
+
+def limit_memory():
+    """In the child: at most 512 MiB of address space, so that a print that
+    grows without bound fails there, not on the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def test_eval_of_a_configuration_too_long_to_print_exits_2():
+    """Each cc pushes k[pi] over the same pi: the run reaches its budget in
+    a fraction of a second, on a stack of about 5000 nodes whose text would
+    double with each cc. The printer stops past its cap instead."""
+    proc = run_module("eval", r"(\x. cc (x x)) (\x. cc (x x)) * a0",
+                      timeout=60, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == \
+        f"error: printed text passes {MAX_TEXT_BYTES} characters\n"
 
 
 ### numbers that would become huge numerals

@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 import trace_reference
+from lamc import cli
 from lamc.cli import _dumps, _terminal_json, cmd_eval, main
 from lamc.machine import Machine
 from lamc.syntax import parse_process, process_to_text
@@ -101,12 +102,27 @@ def traced_eval_peak(flag: str, budget: int) -> int:
         tracemalloc.stop()
 
 
+def peak_growth(flag: str) -> float:
+    """How much more the peak grows from 400 to 800 steps than from 200 to
+    400: about 2 when it grows with the steps, about 4 with their square. A
+    difference of peaks cancels what every run allocates alike."""
+    traced_eval_peak(flag, 30)
+    p200, p400, p800 = (traced_eval_peak(flag, n) for n in (200, 400, 800))
+    return (p800 - p400) / (p400 - p200)
+
+
 @pytest.mark.parametrize("flag", ("--trace", "--json"))
 def test_streamed_eval_memory_stays_flat_in_steps(flag):
     """The diverging term's stack grows by one item every three steps, so
     the last configuration and its printed line grow with the run, and the
-    peak at 4x the steps may grow with them; holding the trace or its text
-    would grow it with the square of the steps, 11x from 300 to 1200."""
-    traced_eval_peak(flag, 30)
-    small, large = (traced_eval_peak(flag, n) for n in (300, 1200))
-    assert large < 3 * small, (small, large)
+    peak may grow with the steps; holding the trace or its text would grow
+    it with their square."""
+    assert peak_growth(flag) < 3
+
+
+def test_the_memory_check_fails_when_every_line_is_held(monkeypatch):
+    """The check above, on an eval that keeps every line it prints."""
+    held = []
+    monkeypatch.setattr(cli, "print", lambda *args, **kwargs: held.append(args),
+                        raising=False)
+    assert peak_growth("--trace") >= 3

@@ -45,12 +45,15 @@ def random_match(realizer, formula, seed):
     return match
 
 
-def wild_match(play, **budgets):
-    reg = full_registry()
-    leading, handle, abelard = load_abelard_script(str(FIXTURES / "wild.json"),
-                                                   reg)
-    return play(reg, resolve_realizer(reg, "t_leq", FORMULAE), LEQ, handle,
-                abelard, leading=leading, **budgets)
+def fixture_match(fixture, realizer, formula):
+    def match(play, **budgets):
+        reg = full_registry()
+        leading, handle, abelard = load_abelard_script(
+            str(FIXTURES / fixture), reg)
+        return play(reg, resolve_realizer(reg, realizer, FORMULAE),
+                    FORMULAE[formula], handle, abelard, leading=leading,
+                    **budgets)
+    return match
 
 
 def looping_match(budget):
@@ -76,7 +79,7 @@ CASES = [
       for realizer, formula in (("t_phi_phi4", "phi4"), ("t_phi_leq", "leq"),
                                 ("t_leq", "leq"))
       for seed in SEEDS),
-    pytest.param(wild_match, id="wild.json"),
+    pytest.param(fixture_match("wild.json", "t_leq", "leq"), id="wild.json"),
     *(pytest.param(looping_match(budget), id=f"loop-{budget}")
       for budget in range(8)),
     *(pytest.param(diverging_match(budget), id=f"diverging-{budget}")
@@ -102,6 +105,32 @@ def test_g2_agrees_with_the_rescanning_reference_when_hashes_collide(
     expected = outcome_fields(match(play_g2_rescan, quantum=quantum))
     monkeypatch.setattr(Node, "__hash__", lambda self: self._hash & 7)
     assert outcome_fields(match(play_g2, quantum=quantum)) == expected
+
+
+# matches whose every configuration is also printed and compared as text
+TEXT_SEEDS = {"t_leq": SEEDS, "t_phi_leq": SEEDS,
+              "t_phi_phi4": [*range(5), 736660294]}
+
+
+@pytest.mark.parametrize("realizer,formula", [
+    ("t_leq", "leq"), ("t_phi_leq", "leq"), ("t_phi_phi4", "phi4")])
+def test_g2_prints_what_the_rescanning_reference_prints(realizer, formula):
+    for seed in TEXT_SEEDS[realizer]:
+        match = random_match(realizer, formula, seed)
+        assert match(play_g2).to_json() == match(play_g2_rescan).to_json(), seed
+
+
+@pytest.mark.parametrize("fixture,realizer,formula", [
+    ("wild.json", "t_leq", "leq"),
+    ("halt_halt3.json", "t_halt", "halt"),
+    ("halt_loop.json", "t_halt", "halt"),
+])
+def test_g2_wins_each_fixture_as_the_reference_does(fixture, realizer,
+                                                    formula):
+    match = fixture_match(fixture, realizer, formula)
+    out = match(play_g2)
+    assert out.eloise_won
+    assert out.to_json() == match(play_g2_rescan).to_json()
 
 
 def test_g2_confirms_a_hash_hit_by_replaying_the_position(monkeypatch):

@@ -116,6 +116,64 @@ def test_decode_numeral_roundtrip_property(n):
     assert decode_numeral(numeral(n)) == n
 
 
+def parsed_succ(reg):
+    """A copy of SUCC equal to it but not the shared node, as the storage
+    operator's successor is."""
+    succ = parse_term(r"\n x f. f (n x f)", reg)
+    assert succ == SUCC and succ is not SUCC
+    return succ
+
+
+def impostor(reg):
+    """A term other than SUCC that holds SUCC's hash: only a structural
+    comparison tells the two apart."""
+    t = parse_term(r"\n x f. f (n f x)", reg)
+    t._hash = SUCC._hash
+    assert t != SUCC
+    return t
+
+
+def chain(links, end=ZERO):
+    """links[0] applied to links[1] applied to ... to end."""
+    for fn in reversed(links):
+        end = App(fn, end)
+    return end
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_decode_numeral_agrees_with_the_reference(base_reg, seed):
+    rng = random.Random(seed)
+    succs = [SUCC, parsed_succ(base_reg), parsed_succ(base_reg)]
+    ends = [ZERO, parse_term(r"\x f. x", base_reg), Const("c_a")]
+    for _ in range(20):
+        # runs of one node, as a chain built on one successor has them
+        links = [succ for _ in range(rng.randint(0, 4))
+                 for succ in [rng.choice(succs)] * rng.randint(1, 30)]
+        for end in ends:
+            t = chain(links, end)
+            assert decode_numeral(t) == syntax_reference.decode_numeral(t)
+        for at in {0, len(links) // 2, len(links) - 1} if links else ():
+            t = chain([*links[:at], impostor(base_reg), *links[at + 1:]])
+            assert decode_numeral(t) is None
+            assert syntax_reference.decode_numeral(t) is None
+
+
+def test_printing_a_numeral_on_a_parsed_succ_compares_once(base_reg,
+                                                          monkeypatch):
+    calls = []
+
+    def counted(a, b, _original=syntax._structural_eq):
+        calls.append(1)
+        return _original(a, b)
+
+    t = chain([parsed_succ(base_reg)] * 2000)
+    monkeypatch.setattr(syntax, "_structural_eq", counted)
+    assert term_to_text(t) == "#2000"
+    assert len(calls) <= 1
+    calls.clear()
+    assert term_to_text(numeral(2000)) == "#2000" and calls == []
+
+
 def test_numeral_rejects_negative():
     with pytest.raises(LamcError):
         numeral(-1)
@@ -655,6 +713,30 @@ def test_printing_deep_trees(flat, base_reg):
     assert flat(parse_stack, flat(stack_to_text, pi), base_reg) == pi
     p = Process(left_spine(Const("c_a"), Const("c_b")), pi)
     assert flat(parse_process, flat(process_to_text, p), base_reg) == p
+
+
+def saved_over_itself(depth):
+    """k[pi] pushed over pi, depth times: depth + 1 stack nodes, and a text
+    that doubles with each."""
+    s = Bottom("a0")
+    for _ in range(depth):
+        s = Push(Cont(s), s)
+    return s
+
+
+def test_printing_stops_past_the_text_cap(monkeypatch):
+    text = stack_to_text(saved_over_itself(10))
+    assert len(text) > 2 ** 11
+    monkeypatch.setattr(syntax, "MAX_TEXT_BYTES", len(text))
+    assert stack_to_text(saved_over_itself(10)) == text
+    monkeypatch.setattr(syntax, "MAX_TEXT_BYTES", len(text) - 1)
+    for depth in (10, 200):
+        with pytest.raises(LamcError, match=f"passes {len(text) - 1} char"):
+            stack_to_text(saved_over_itself(depth))
+
+
+def test_reserved_names_cost_the_dag_not_the_tree():
+    assert _reserved_names(saved_over_itself(200)) == {"a0"}
 
 
 ### registry
